@@ -686,27 +686,28 @@ fn exp_fuzz(rec: &mut Recorder) {
     let report = fuzz(&opts);
     let ms = start.elapsed().as_secs_f64() * 1000.0;
     println!(
-        "{:<12} {:>6} {:>8} {:>8} {:>8}",
-        "certificate", "runs", "agreed", "bounded", "recall"
+        "{:<12} {:>6} {:>8} {:>8} {:>8} {:>8}",
+        "certificate", "runs", "agreed", "bounded", "recall", "time(s)"
     );
-    for (name, score) in [
-        ("clean", report.clean),
-        ("lasso", report.lasso),
-        ("blocking", report.blocking),
-        ("returning", report.returning),
+    for (name, score, time) in [
+        ("clean", report.clean, report.clean_time),
+        ("lasso", report.lasso, report.lasso_time),
+        ("blocking", report.blocking, report.blocking_time),
+        ("returning", report.returning, report.returning_time),
     ] {
         println!(
-            "{:<12} {:>6} {:>8} {:>8} {:>7.1}%",
+            "{:<12} {:>6} {:>8} {:>8} {:>7.1}% {:>8.1}",
             name,
             score.runs,
             score.agreed,
             score.bounded,
-            score.recall() * 100.0
+            score.recall() * 100.0,
+            time.as_secs_f64()
         );
         rec.raw(BenchRecord {
             experiment: "fuzz".to_string(),
             label: format!("fuzz/{name}"),
-            time_ms: ms / 4.0,
+            time_ms: time.as_secs_f64() * 1000.0,
             holds: Some(score.agreed + score.bounded == score.runs),
             instances: Some(score.runs),
             mismatches: Some(score.runs - score.agreed - score.bounded),

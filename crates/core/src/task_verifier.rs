@@ -13,7 +13,9 @@ use has_ltl::Ltl;
 use has_model::{
     ArtifactSystem, Condition, ServiceRef, TaskId, VarId, VarSort,
 };
-use has_symbolic::{transfer_pattern, ProjectionKey, SymState, TaskContext};
+use has_symbolic::{
+    transfer_pattern, ProjectionKey, SuccessorKey, SuccessorMemo, SymState, TaskContext,
+};
 use has_vass::{
     BitSet, CoverabilityGraph, CycleSearch, FxHashMap, Interner, SharedCoverability, Vass,
 };
@@ -228,6 +230,60 @@ impl CState {
             Err(i) => children.insert(i, (child, status)),
         }
         children
+    }
+}
+
+/// Translates between one pair's symbolic-state arena and the task-level
+/// [`SuccessorMemo`]'s arena, in both directions, without re-hashing a
+/// state once its counterpart is known.
+struct MemoBridge<'m> {
+    memo: &'m SuccessorMemo,
+    /// Memo id per local id (`u32::MAX`: not yet known).
+    to_memo: Vec<u32>,
+    /// Local id per memo id.
+    to_local: FxHashMap<u32, u32>,
+}
+
+impl<'m> MemoBridge<'m> {
+    fn new(memo: &'m SuccessorMemo) -> Self {
+        MemoBridge {
+            memo,
+            to_memo: Vec::new(),
+            to_local: FxHashMap::default(),
+        }
+    }
+
+    fn link(&mut self, local: u32, memo: u32) {
+        let slot = local as usize;
+        if self.to_memo.len() <= slot {
+            self.to_memo.resize(slot + 1, u32::MAX);
+        }
+        self.to_memo[slot] = memo;
+        self.to_local.insert(memo, local);
+    }
+
+    /// The memo id of local state `local`, interning it in the memo on
+    /// first sight.
+    fn memo_id(&mut self, syms: &Interner<SymState>, local: u32) -> u32 {
+        match self.to_memo.get(local as usize) {
+            Some(&m) if m != u32::MAX => m,
+            _ => {
+                let m = self.memo.intern(syms.get(local));
+                self.link(local, m);
+                m
+            }
+        }
+    }
+
+    /// The local id of memo state `memo`, interning a copy of it locally on
+    /// first sight.
+    fn local_id(&mut self, syms: &mut Interner<SymState>, memo: u32) -> u32 {
+        if let Some(&local) = self.to_local.get(&memo) {
+            return local;
+        }
+        let local = syms.intern(self.memo.state(memo)).0;
+        self.link(local, memo);
+        local
     }
 }
 
@@ -880,10 +936,13 @@ impl<'a> TaskVerifier<'a> {
         };
 
         // Post-state enumeration is the expensive step and depends only on
-        // the symbolic state and the service, not on the Büchi/children
-        // components of the control state: memoize it, keyed by dense sym
-        // id (id equality is structural equality within the arena).
-        let mut post_cache: FxHashMap<(u32, usize), Vec<u32>> = FxHashMap::default();
+        // the symbolic state, the service and the caps — not on β or the
+        // Büchi/children components of the control state — so every pair
+        // of the task reads it from the task-level memo (DESIGN.md §5.13).
+        // Memo ids are translated into this pair's arena in list order, so
+        // local ids come out exactly as if the list had been enumerated
+        // here.
+        let mut bridge = MemoBridge::new(self.ctx.successors());
         while let Some(id) = worklist.pop_front() {
             if cstates.len() > self.config.max_control_states {
                 break;
@@ -905,19 +964,17 @@ impl<'a> TaskVerifier<'a> {
                     {
                         continue;
                     }
-                    let cache_key = (current.sym, service_idx);
-                    let posts: Vec<u32> = match post_cache.get(&cache_key) {
-                        Some(ids) => ids.clone(),
-                        None => {
-                            let list = self
-                                .enumerate_post_states(syms.get(current.sym), &service.post);
-                            let ids: Vec<u32> =
-                                list.into_iter().map(|s| syms.intern(s).0).collect();
-                            post_cache.insert(cache_key, ids.clone());
-                            ids
-                        }
+                    let key = SuccessorKey {
+                        service: service_idx,
+                        max_successors: self.config.max_successors,
+                        max_merge_pairs: self.config.max_merge_pairs,
+                        state: bridge.memo_id(&syms, current.sym),
                     };
-                    for post_id in posts {
+                    let posts = bridge.memo.successors(key, || {
+                        self.enumerate_post_states(syms.get(current.sym), &service.post)
+                    });
+                    for &memo_id in posts.iter() {
+                        let post_id = bridge.local_id(&mut syms, memo_id);
                         // Counter update (Definition 17's a̅ vector).
                         let mut delta: Vec<(u32, i64)> = Vec::new();
                         if t.artifact_relation.is_some() {
@@ -1649,6 +1706,10 @@ impl<'a> TaskVerifier<'a> {
 /// Produced by [`TaskVerifier::build_graph`] and consumed read-only by
 /// [`TaskVerifier::init_queries`], which is what lets the engine fan the
 /// per-initial-state Lemma 21 queries out across workers.
+///
+/// Equality compares every part, so two builds of one pair can be checked
+/// for identical results.
+#[derive(Debug, PartialEq, Eq)]
 pub struct ExploredGraph {
     states: Vec<CState>,
     /// Arena of distinct symbolic states, indexed by the dense ids held in
@@ -1670,6 +1731,12 @@ impl ExploredGraph {
     /// position `0..initial_count()`.
     pub fn initial_count(&self) -> usize {
         self.initial_states.len()
+    }
+
+    /// The statistics of the build: control states, transitions, counter
+    /// dimensions and the pair's Büchi size.
+    pub fn stats(&self) -> &Stats {
+        &self.stats
     }
 }
 

@@ -514,8 +514,10 @@ impl<'a> Verifier<'a> {
                 stats.absorb(&task_stats);
                 summary.entries.extend(entries);
             }
-            // Same commit the scheduler performs: shallow-clone the map (the
+            // Same commit the scheduler performs: release the task's
+            // successor memo (every β is built), shallow-clone the map (the
             // summaries themselves are shared), add the finished task, swap.
+            contexts[&task].successors().release();
             let mut map = (*summaries).clone();
             map.insert(task, Arc::new(summary));
             summaries = Arc::new(map);
@@ -658,6 +660,9 @@ impl<'a> Verifier<'a> {
                 if remaining_pairs[&task].fetch_sub(1, Ordering::SeqCst) != 1 {
                     return;
                 }
+                // Every pair of the task is built by now: its successor memo
+                // has no reader left (DESIGN.md §5.13).
+                contexts[&task].successors().release();
                 let mut summary = TaskSummary::default();
                 for &q in &task_pairs[&task] {
                     let mut state = pair_states[q].lock().expect("pair state poisoned");

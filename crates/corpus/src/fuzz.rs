@@ -27,6 +27,7 @@ use has_core::{Outcome, Stats, Verifier, VerifierConfig};
 use has_sim::{monitor_property, replay_with_retries, ExecutionConfig};
 use has_workloads::generator::{GeneratorParams, Plant};
 use std::fmt;
+use std::time::{Duration, Instant};
 
 /// One point of the configuration matrix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -210,6 +211,17 @@ pub struct FuzzReport {
     pub blocking: KindScore,
     /// Scoreboard for planted returning violations.
     pub returning: KindScore,
+    /// Wall time of the clean certificates' runs. Each kind's time (this
+    /// and the three below) covers verification, witness replay and
+    /// minimization; it sits beside the scoreboard rather than in it, so
+    /// [`KindScore`] equality stays deterministic.
+    pub clean_time: Duration,
+    /// Wall time of the planted lassos' runs.
+    pub lasso_time: Duration,
+    /// Wall time of the planted blocking violations' runs.
+    pub blocking_time: Duration,
+    /// Wall time of the planted returning violations' runs.
+    pub returning_time: Duration,
     /// Every soundness mismatch found.
     pub mismatches: Vec<Mismatch>,
 }
@@ -223,6 +235,18 @@ impl FuzzReport {
     /// Total bounded verdicts across certificate kinds.
     pub fn bounded(&self) -> usize {
         self.clean.bounded + self.lasso.bounded + self.blocking.bounded + self.returning.bounded
+    }
+
+    /// The scoreboard and the time of the certificate kind `inst` is
+    /// scored under.
+    fn kind_mut(&mut self, inst: &CorpusInstance) -> (&mut KindScore, &mut Duration) {
+        match (&inst.certificate, inst.plant) {
+            (Certificate::Clean, _) => (&mut self.clean, &mut self.clean_time),
+            (_, Plant::Lasso) => (&mut self.lasso, &mut self.lasso_time),
+            (_, Plant::Blocking) => (&mut self.blocking, &mut self.blocking_time),
+            (_, Plant::Returning) => (&mut self.returning, &mut self.returning_time),
+            _ => (&mut self.clean, &mut self.clean_time),
+        }
     }
 }
 
@@ -365,15 +389,9 @@ pub fn fuzz(opts: &FuzzOptions) -> FuzzReport {
     for inst in &corpus {
         for &at in &matrix {
             report.runs += 1;
+            let started = Instant::now();
             let verdict = check_at(inst, at, opts, &mut report.replays);
-            let score = match (&inst.certificate, inst.plant) {
-                (Certificate::Clean, _) => &mut report.clean,
-                (_, Plant::Lasso) => &mut report.lasso,
-                (_, Plant::Blocking) => &mut report.blocking,
-                (_, Plant::Returning) => &mut report.returning,
-                _ => &mut report.clean,
-            };
-            score.absorb(&verdict);
+            report.kind_mut(inst).0.absorb(&verdict);
             if let RunVerdict::Mismatch(detail) = verdict {
                 let minimized = if opts.minimize {
                     let plant = inst.plant;
@@ -397,6 +415,7 @@ pub fn fuzz(opts: &FuzzOptions) -> FuzzReport {
                     minimized,
                 });
             }
+            *report.kind_mut(inst).1 += started.elapsed();
         }
     }
     report

@@ -10,12 +10,14 @@
 //! task and provides the index structures the symbolic state operates on.
 
 use crate::expr::{Expr, Sort};
+use crate::memo::SuccessorMemo;
 use has_arith::Rational;
 use has_model::{
     ArtifactSchema, ArtifactSystem, Atom, AttrKind, Condition, RelationId, TaskId, Term, VarId,
     VarSort,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The symbolic context of a task: expression universe, sorts, and the atom
 /// basis used to bound successor enumeration.
@@ -56,6 +58,10 @@ pub struct TaskContext {
     /// per candidate binding, sorted by relation. Empty for other
     /// expressions.
     var_child: Vec<Vec<(RelationId, Vec<Option<usize>>)>>,
+    /// The task's successor memo, shared by every truth assignment explored
+    /// over this context (and by clones of it, which describe the same
+    /// universe).
+    successors: Arc<SuccessorMemo>,
 }
 
 impl TaskContext {
@@ -355,7 +361,13 @@ impl TaskContext {
             const_idxs,
             nav_child,
             var_child,
+            successors: Arc::default(),
         }
+    }
+
+    /// The task-level successor memo (DESIGN.md §5.13).
+    pub fn successors(&self) -> &SuccessorMemo {
+        &self.successors
     }
 
     /// Number of expressions in the universe.

@@ -22,7 +22,9 @@
 //!   dependencies), condition evaluation, canonical projection keys
 //!   (used for the TS-isomorphism-type counters and for the input/output
 //!   types exchanged between tasks), and the extension enumeration used by
-//!   the verifier to compute successors.
+//!   the verifier to compute successors;
+//! * [`SuccessorMemo`] — the task-level memo of internal-service post
+//!   lists that every truth assignment of the task shares.
 //!
 //! # Worked example
 //!
@@ -61,8 +63,10 @@
 
 pub mod context;
 pub mod expr;
+pub mod memo;
 pub mod state;
 
 pub use context::TaskContext;
 pub use expr::{Expr, Sort};
+pub use memo::{SuccessorKey, SuccessorMemo};
 pub use state::{transfer_pattern, ProjectionKey, SymState};

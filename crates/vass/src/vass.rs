@@ -16,7 +16,7 @@ pub struct Action {
 }
 
 /// A Vector Addition System with States.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Vass {
     /// Number of control states.
     pub states: usize,
