@@ -13,9 +13,11 @@
 //!   [`ValidationError`] variant;
 //! * `HAS101`–`HAS110` — semantic analyzer findings (dataflow, dead
 //!   services, counter influence);
-//! * `HAS111`–`HAS116` — query pre-solver summaries (statically decided
-//!   sub-queries, per-filter refutation counts, certified counter bounds;
-//!   see [`crate::presolve`]).
+//! * `HAS111`, `HAS112`, `HAS114`, `HAS115` — query pre-solver summaries
+//!   (statically decided sub-queries, per-filter refutation counts; see
+//!   [`crate::presolve`]). `HAS113` (state-equation refutations) and
+//!   `HAS116` (certified counter bounds) are retired with the filters they
+//!   reported and are never reused.
 
 use has_model::ValidationError;
 use std::fmt;

@@ -22,11 +22,10 @@
 //!    coverability query.
 //!
 //! A fourth, per-query pass lives in [`presolve`]: sound static refutation
-//! filters (control skeleton, state-equation Z-relaxation,
-//! counter-abstraction DFA, lasso circulation) that the verifier runs before
-//! building any Karp–Miller graph, plus per-dimension boundedness
-//! certificates for the queries that survive. Its aggregated verdict counts
-//! render as `HAS111`–`HAS116` diagnostics.
+//! filters (control skeleton, counter-abstraction DFA, lasso circulation)
+//! that the verifier runs before building any Karp–Miller graph. Its
+//! aggregated verdict counts render as `HAS111`, `HAS112`, `HAS114` and
+//! `HAS115` diagnostics.
 //!
 //! All findings flow through the [`Diagnostic`] type with stable `HASnnn`
 //! codes; structural [`has_model::ValidationError`]s join the same stream

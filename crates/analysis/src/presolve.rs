@@ -9,50 +9,41 @@
 //!
 //! 1. **control skeleton** — plain reachability with counters ignored
 //!    ([`has_vass::control_reachable`]);
-//! 2. **state equation** — the Parikh-image Z-relaxation LP
-//!    ([`has_vass::z_cover_feasible`]); for the lasso sub-query, the per-SCC
-//!    circulation decision ([`has_vass::z_lasso_feasible`]);
-//! 3. **counter-abstraction DFA** — per-dimension gcd-normalized truncation
+//! 2. **counter-abstraction DFA** — per-dimension gcd-normalized truncation
 //!    automata in product with the control skeleton
-//!    ([`has_vass::counter_dfa_refutes`]).
+//!    ([`has_vass::counter_dfa_refutes`]);
+//! 3. **circulation** — for the lasso sub-query only, the per-SCC
+//!    non-negative-cycle decision on the control skeleton
+//!    ([`has_vass::z_lasso_feasible`]).
 //!
 //! Each filter is a *necessary condition* on the exact answer, so a
 //! refutation is definitive: the sub-query's answer is "empty" and the
 //! verifier can skip the corresponding scan — and when all three sub-queries
-//! are refuted, the Karp–Miller build itself. The simplex-backed filters
-//! gate themselves on a structural work estimate (`has-vass`'s
-//! `LP_WORK_CAP`), reporting "no refutation" on programs whose exact
-//! solve would cost more than the build it could skip — the gate reads
-//! only the program's shape, never the clock, so verdicts stay
-//! deterministic. Because the capped build
-//! under-approximates reachability (everything it finds is genuinely
-//! coverable), skipping refuted work can never change a verdict, a witness,
-//! or their order — which is why the determinism contract (byte-identical
-//! verdicts with the pre-solver on and off, DESIGN.md §5.11) holds by
-//! construction rather than by replay.
-//!
-//! Queries that survive refutation still benefit: the per-dimension
-//! boundedness certificates of [`has_vass::certified_bounded_dims`] feed
-//! [`has_vass::CoverabilityGraph::build_capped_with_bounds`], which skips
-//! ω-acceleration work on certified dimensions.
+//! are refuted, the Karp–Miller build itself. The circulation filter, the
+//! only one that solves linear programs, gates itself on a structural work
+//! estimate (`has-vass`'s `LP_WORK_CAP`), reporting "no refutation" on
+//! programs whose exact solve would cost more than the build it could skip
+//! — the gate reads only the program's shape, never the clock, so verdicts
+//! stay deterministic. Because the capped build under-approximates
+//! reachability (everything it finds is genuinely coverable), skipping
+//! refuted work can never change a verdict, a witness, or their order —
+//! which is why the determinism contract (byte-identical verdicts with the
+//! pre-solver on and off, DESIGN.md §5.11) holds by construction rather
+//! than by replay.
 //!
 //! The per-filter verdict counts aggregate into [`PresolveStats`] (surfaced
 //! through the verifier's `Stats` and `tables --json`) and render as the
-//! `HAS111`–`HAS116` diagnostics of [`presolve_diagnostics`].
+//! `HAS111`, `HAS112`, `HAS114` and `HAS115` diagnostics of
+//! [`presolve_diagnostics`].
 
 use crate::diagnostic::Diagnostic;
-use has_vass::{
-    certified_bounded_dims, control_reachable, counter_dfa_refutes, z_cover_feasible,
-    z_lasso_feasible, Vass,
-};
+use has_vass::{control_reachable, counter_dfa_refutes, z_lasso_feasible, Vass};
 
 /// Which filter of the pre-solve hierarchy refuted a sub-query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Refutation {
     /// No target control state is reachable in the control skeleton.
     Control,
-    /// The state-equation Z-relaxation is infeasible.
-    StateEquation,
     /// Every target is unreachable in some counter-abstraction DFA product.
     CounterDfa,
     /// No non-negative-effect control cycle through an accepting state.
@@ -60,9 +51,9 @@ pub enum Refutation {
 }
 
 /// The pre-solver's verdicts for one `(T, β, τ_in)` query triple: one
-/// optional refutation per Lemma 21 sub-query, plus the boundedness
-/// certificates for the dimensions of the (possibly projected) VASS.
-#[derive(Clone, Debug)]
+/// optional refutation per Lemma 21 sub-query. The default refutes nothing
+/// (the verifier's answer with the pre-solver off).
+#[derive(Clone, Debug, Default)]
 pub struct QueryPresolve {
     /// Refutation of the *returning* sub-query, if any.
     pub returning: Option<Refutation>,
@@ -70,9 +61,6 @@ pub struct QueryPresolve {
     pub blocking: Option<Refutation>,
     /// Refutation of the *lasso* sub-query, if any.
     pub lasso: Option<Refutation>,
-    /// Per-dimension boundedness certificates (empty when the query was
-    /// fully refuted — no graph is built, so no certificates are needed).
-    pub bounded_dims: Vec<bool>,
 }
 
 impl QueryPresolve {
@@ -80,11 +68,6 @@ impl QueryPresolve {
     /// skipped outright.
     pub fn skip_build(&self) -> bool {
         self.returning.is_some() && self.blocking.is_some() && self.lasso.is_some()
-    }
-
-    /// Number of certified-bounded dimensions.
-    pub fn bounded_count(&self) -> usize {
-        self.bounded_dims.iter().filter(|&&b| b).count()
     }
 }
 
@@ -94,8 +77,7 @@ impl QueryPresolve {
 /// coverability sub-queries; `accepting` marks the Büchi-accepting control
 /// states of the lasso sub-query. All three are indexed by VASS control
 /// state. The filters run cheapest-first and stop at the first refutation
-/// per sub-query; boundedness certificates are computed only when at least
-/// one sub-query survives (otherwise no graph will be built).
+/// per sub-query.
 pub fn presolve_query(
     vass: &Vass,
     init: usize,
@@ -107,9 +89,6 @@ pub fn presolve_query(
     let cover = |targets: &[bool]| -> Option<Refutation> {
         if !targets.iter().zip(&reachable).any(|(&t, &r)| t && r) {
             return Some(Refutation::Control);
-        }
-        if !z_cover_feasible(vass, init, targets, &reachable) {
-            return Some(Refutation::StateEquation);
         }
         if counter_dfa_refutes(vass, init, targets, &reachable) {
             return Some(Refutation::CounterDfa);
@@ -126,16 +105,11 @@ pub fn presolve_query(
             None
         }
     });
-    let mut query = QueryPresolve {
+    QueryPresolve {
         returning: cover(returning),
         blocking: cover(blocking),
         lasso,
-        bounded_dims: Vec::new(),
-    };
-    if !query.skip_build() {
-        query.bounded_dims = certified_bounded_dims(vass, &reachable);
     }
-    query
 }
 
 /// Aggregated pre-solver verdict counts: how many sub-queries each filter
@@ -151,7 +125,9 @@ pub struct PresolveStats {
     pub decided: usize,
     /// …of which by the control-skeleton filter.
     pub control: usize,
-    /// …of which by the state-equation Z-relaxation.
+    /// Always 0: the state-equation filter that counted here is deleted.
+    /// Kept only because the benchmark in `verifbench/` still reads it; the
+    /// next benchmark change drops that read and this field with it.
     pub state_eq: usize,
     /// …of which by a counter-abstraction DFA.
     pub counter_dfa: usize,
@@ -159,7 +135,9 @@ pub struct PresolveStats {
     pub circulation: usize,
     /// Karp–Miller builds skipped outright (all three sub-queries refuted).
     pub skipped_builds: usize,
-    /// Counter dimensions certified bounded, summed over built queries.
+    /// Always 0: the boundedness certificates that counted here are
+    /// deleted. Kept only because the benchmark in `verifbench/` still reads
+    /// it; the next benchmark change drops that read and this field with it.
     pub bounded_dims: usize,
 }
 
@@ -174,7 +152,6 @@ impl PresolveStats {
             self.decided += 1;
             match refutation {
                 Refutation::Control => self.control += 1,
-                Refutation::StateEquation => self.state_eq += 1,
                 Refutation::CounterDfa => self.counter_dfa += 1,
                 Refutation::Circulation => self.circulation += 1,
             }
@@ -182,7 +159,6 @@ impl PresolveStats {
         if query.skip_build() {
             self.skipped_builds += 1;
         }
-        self.bounded_dims += query.bounded_count();
     }
 
     /// Adds `other` into `self` (commutative, like the verifier's
@@ -191,19 +167,18 @@ impl PresolveStats {
         self.queries += other.queries;
         self.decided += other.decided;
         self.control += other.control;
-        self.state_eq += other.state_eq;
         self.counter_dfa += other.counter_dfa;
         self.circulation += other.circulation;
         self.skipped_builds += other.skipped_builds;
-        self.bounded_dims += other.bounded_dims;
     }
 }
 
-/// Renders aggregated pre-solver counts as the stable `HAS111`–`HAS116`
-/// informational diagnostics `tables -- analyze` reports per workload:
-/// the statically-decided total (`HAS111`), the per-filter refutation counts
-/// (`HAS112`–`HAS115`, emitted only when non-zero), and the certified
-/// dimension bounds (`HAS116`).
+/// Renders aggregated pre-solver counts as the stable informational
+/// diagnostics `tables -- analyze` reports per workload: the
+/// statically-decided total (`HAS111`) and the per-filter refutation counts
+/// (`HAS112`, `HAS114`, `HAS115`, emitted only when non-zero). `HAS113`
+/// (state equation) and `HAS116` (certified bounds) are retired with the
+/// filters they reported and are never reused.
 pub fn presolve_diagnostics(stats: &PresolveStats) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     if stats.queries == 0 {
@@ -219,23 +194,12 @@ pub fn presolve_diagnostics(stats: &PresolveStats) -> Vec<Diagnostic> {
     ));
     for (code, count, what) in [
         (112, stats.control, "refuted by the control skeleton"),
-        (113, stats.state_eq, "refuted by the state-equation Z-relaxation"),
         (114, stats.counter_dfa, "refuted by a counter-abstraction DFA"),
         (115, stats.circulation, "refuted by the lasso circulation decision"),
     ] {
         if count > 0 {
             out.push(Diagnostic::info(code, format!("{count} sub-query(ies) {what}")));
         }
-    }
-    if stats.bounded_dims > 0 {
-        out.push(Diagnostic::info(
-            116,
-            format!(
-                "{} counter dimension(s) certified bounded across built queries \
-                 (ω-acceleration skipped)",
-                stats.bounded_dims
-            ),
-        ));
     }
     out
 }
@@ -253,8 +217,8 @@ mod tests {
     }
 
     /// The producer/consumer chain: returning at the drained end is real,
-    /// blocking at an unpayable state refutes by state equation, lasso
-    /// through the pump loop is real.
+    /// blocking at a control-unreachable state refutes, lasso through the
+    /// pump loop is real.
     #[test]
     fn filters_fire_per_sub_query() {
         // 0 pumps, 0 → 1 switches, 1 drains, 1 → 2 pays one token; state 3
@@ -275,7 +239,6 @@ mod tests {
         assert_eq!(q.blocking, Some(Refutation::Control));
         assert_eq!(q.lasso, None);
         assert!(!q.skip_build());
-        assert_eq!(q.bounded_dims, vec![false]);
     }
 
     #[test]
@@ -285,11 +248,10 @@ mod tests {
         v.add_action(0, vec![-1], 1);
         v.add_action(1, vec![0], 1);
         let q = presolve_query(&v, 0, &set(3, &[1]), &set(3, &[2]), &set(3, &[1]));
-        assert_eq!(q.returning, Some(Refutation::StateEquation));
+        assert_eq!(q.returning, Some(Refutation::CounterDfa));
         assert_eq!(q.blocking, Some(Refutation::Control));
-        assert!(q.lasso.is_some(), "{q:?}");
+        assert_eq!(q.lasso, Some(Refutation::CounterDfa));
         assert!(q.skip_build());
-        assert!(q.bounded_dims.is_empty());
     }
 
     #[test]
@@ -308,7 +270,10 @@ mod tests {
         assert_eq!(total.queries, 6);
         let diags = presolve_diagnostics(&total);
         assert!(diags.iter().any(|d| d.code == 111), "{diags:?}");
-        assert!(diags.iter().all(|d| d.code >= 111 && d.code <= 116));
+        assert!(
+            diags.iter().all(|d| [111, 112, 114, 115].contains(&d.code)),
+            "{diags:?}"
+        );
         assert!(presolve_diagnostics(&PresolveStats::default()).is_empty());
     }
 }

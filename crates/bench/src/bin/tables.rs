@@ -486,9 +486,8 @@ fn exp_projection(rec: &mut Recorder) {
 /// reports, per instance and in aggregate, how many of the per-query
 /// coverability/lasso sub-queries the static filters decided without
 /// touching Karp–Miller — broken down by refuting filter (control skeleton,
-/// state-equation Z-relaxation, counter-abstraction DFA, lasso
-/// circulation), plus how many graph builds were skipped outright and how
-/// many counter dimensions were certified bounded. EXP-R2 repeats the
+/// counter-abstraction DFA, lasso circulation), plus how many graph builds
+/// were skipped outright. EXP-R2 repeats the
 /// EXP-A2 fixed-budget travel A.2 measurement with the pre-solver off and
 /// on — the before/after pair EXPERIMENTS.md quotes.
 fn exp_presolve(rec: &mut Recorder) {
@@ -549,17 +548,15 @@ fn exp_presolve(rec: &mut Recorder) {
         0.0
     };
     println!(
-        "decided {}/{} sub-queries ({:.1}%): control {}, state-eq {}, dfa {}, \
-         circulation {}; km builds skipped {}; dims certified bounded {}",
+        "decided {}/{} sub-queries ({:.1}%): control {}, dfa {}, circulation {}; \
+         km builds skipped {}",
         total.decided,
         total.queries,
         decided_pct,
         total.control,
-        total.state_eq,
         total.counter_dfa,
         total.circulation,
-        total.skipped_builds,
-        total.bounded_dims
+        total.skipped_builds
     );
     println!();
 

@@ -222,17 +222,9 @@ impl BenchRecord {
             let _ = write!(
                 out,
                 ",\"presolve_queries\":{},\"presolve_decided\":{},\
-                 \"presolve_control\":{},\"presolve_state_eq\":{},\
-                 \"presolve_dfa\":{},\"presolve_circulation\":{},\
-                 \"presolve_km_skipped\":{},\"presolve_bounded_dims\":{}",
-                p.queries,
-                p.decided,
-                p.control,
-                p.state_eq,
-                p.counter_dfa,
-                p.circulation,
-                p.skipped_builds,
-                p.bounded_dims
+                 \"presolve_control\":{},\"presolve_dfa\":{},\
+                 \"presolve_circulation\":{},\"presolve_km_skipped\":{}",
+                p.queries, p.decided, p.control, p.counter_dfa, p.circulation, p.skipped_builds
             );
         }
         out.push('}');

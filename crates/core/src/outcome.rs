@@ -323,8 +323,8 @@ pub struct Stats {
     /// construction (0 when projection is off).
     pub dead_services_pruned: usize,
     /// Query pre-solver verdict counts: sub-queries examined and statically
-    /// decided per filter, Karp–Miller builds skipped, dimensions certified
-    /// bounded (all zero when the pre-solver is off).
+    /// decided per filter, Karp–Miller builds skipped (all zero when the
+    /// pre-solver is off).
     pub presolve: PresolveStats,
     /// Karp–Miller nodes served from the shared per-`(T, β)` arena instead
     /// of being recomputed (0 when [`crate::VerifierConfig::shared_km`] is
@@ -374,7 +374,7 @@ impl fmt::Display for Stats {
         write!(
             f,
             "states={} transitions={} km-nodes={} dims={} buchi={} (T,β)={} R_T={} cells={} \
-             proj={}->{} dead={} presolve={}/{} km-skip={} bounded={} km-reuse={} km-subsume={}",
+             proj={}->{} dead={} presolve={}/{} km-skip={} km-reuse={} km-subsume={}",
             self.control_states,
             self.transitions,
             self.coverability_nodes,
@@ -389,7 +389,6 @@ impl fmt::Display for Stats {
             self.presolve.decided,
             self.presolve.queries,
             self.presolve.skipped_builds,
-            self.presolve.bounded_dims,
             self.km_reused,
             self.km_subsumed
         )

@@ -6,6 +6,7 @@ use crate::outcome::{Stats, WitnessStep};
 use crate::verifier::VerifierConfig;
 use has_analysis::{
     dimension_cone, dimension_cone_multi, presolve_query, DeadServiceMap, PresolveStats,
+    QueryPresolve,
 };
 use has_ltl::buchi::{Buchi, BuchiState};
 use has_ltl::hltl::TaskProp;
@@ -1197,8 +1198,6 @@ impl<'a> TaskVerifier<'a> {
     /// witness paths keep indexing into `graph.labels`.
     pub fn init_queries(&self, graph: &ExploredGraph, pos: usize) -> (Vec<RtEntry>, QueryCost) {
         let init = graph.initial_states[pos];
-        let states = &graph.states;
-        let input_key = graph.input_keys[states[init].input_index].clone();
         let mut cost = QueryCost {
             dims_before: graph.vass.dim,
             dims_after: graph.vass.dim,
@@ -1212,179 +1211,21 @@ impl<'a> TaskVerifier<'a> {
             None
         };
         let vass = projected.as_ref().unwrap_or(&graph.vass);
-        let mut candidates: Vec<RtEntry> = Vec::new();
-        let finite_ok = |s: &CState| self.cbuchi.is_finite_accepting(s.q);
-
-        // Query pre-solver (DESIGN.md §5.11): static refutation filters over
-        // the (projected) VASS, run before any Karp–Miller construction. The
-        // three target sets below are exactly what the scans after the build
-        // look for, so a refuted sub-query's scan would find nothing — the
-        // capped build under-approximates coverability, which is why skipping
-        // refuted work is verdict- and witness-identical (only the cost
-        // statistics change).
-        let presolved = self.config.presolve.then(|| {
-            let mut returning = vec![false; states.len()];
-            let mut blocking = vec![false; states.len()];
-            let lasso: Vec<bool> = (0..states.len())
-                .map(|q| graph.accepting.contains(q))
-                .collect();
-            for (q, cs) in states.iter().enumerate() {
-                if !finite_ok(cs) {
-                    continue;
-                }
-                if cs.closed {
-                    returning[q] = true;
-                } else {
-                    blocking[q] = cs
-                        .children
-                        .iter()
-                        .any(|(_, c)| matches!(c, ChildStatus::Active { output: None }));
-                }
-            }
-            let pre = presolve_query(vass, init, &returning, &blocking, &lasso);
-            cost.presolve.record(&pre);
-            pre
-        });
-        if presolved.as_ref().is_some_and(|pre| pre.skip_build()) {
+        let pre = self.presolve(graph, vass, init, &mut cost);
+        if pre.skip_build() {
             // All three sub-queries statically refuted: no entry can exist
             // for this initial state, so no graph is built at all.
-            return (candidates, cost);
+            return (Vec::new(), cost);
         }
-        let bounded: &[bool] = presolved
-            .as_ref()
-            .map_or(&[], |pre| pre.bounded_dims.as_slice());
-        let cover = CoverabilityGraph::build_capped_with_bounds(
-            vass,
+        let cover = CoverabilityGraph::build_capped(vass, init, self.config.km_node_cap);
+        let candidates = self.collect_entries(
+            graph,
             init,
-            self.config.km_node_cap,
-            bounded,
+            &pre,
+            cover.nodes().map(|node| node.state),
+            |node| cover.path_to_node(node),
+            || self.cover_lasso(graph, vass, &cover),
         );
-        let skip = |refuted: Option<has_analysis::Refutation>| refuted.is_some();
-        let (skip_returning, skip_blocking, skip_lasso) = presolved.as_ref().map_or(
-            (false, false, false),
-            |pre| (skip(pre.returning), skip(pre.blocking), skip(pre.lasso)),
-        );
-
-        // Witness retention: the run realization of a candidate is the label
-        // sequence of its Karp–Miller path (actions and transitions share
-        // indices, so a path's action list indexes straight into the labels
-        // recorded by `build_graph`).
-        let retain = self.config.witnesses;
-        let steps_to = |node: usize| -> Vec<WitnessStep> {
-            cover
-                .path_to_node(node)
-                .into_iter()
-                .map(|action| graph.labels[action].clone())
-                .collect()
-        };
-        let point_details = |node: usize| -> Option<Arc<EntryDetails>> {
-            retain.then(|| {
-                Arc::new(EntryDetails {
-                    prefix: steps_to(node),
-                    cycle: Vec::new(),
-                    cycle_truncated: false,
-                })
-            })
-        };
-
-        // Returning paths. The recorded output is the closing state
-        // projected onto the variables the parent can observe (the input
-        // and return variables) — the paper's τ_out — which also keeps
-        // the number of distinct R_T entries small.
-        for (node_id, node) in cover.nodes().enumerate() {
-            if skip_returning {
-                break;
-            }
-            let cs = &states[node.state];
-            if cs.closed && finite_ok(cs) {
-                let projected =
-                    self.project_output(&graph.syms[cs.sym as usize], &graph.out_vars);
-                candidates.push(RtEntry {
-                    input_key: input_key.clone(),
-                    output: Some(projected),
-                    beta: self.beta.clone(),
-                    witness: NonReturningWitness::default(),
-                    details: point_details(node_id),
-                });
-            }
-        }
-        // Blocking paths: a child was opened with a never-returning run.
-        for (node_id, node) in cover.nodes().enumerate() {
-            if skip_blocking {
-                break;
-            }
-            let cs = &states[node.state];
-            let blocking_child = cs
-                .children
-                .iter()
-                .any(|(_, c)| matches!(c, ChildStatus::Active { output: None }));
-            if !cs.closed && blocking_child && finite_ok(cs) {
-                candidates.push(RtEntry {
-                    input_key: input_key.clone(),
-                    output: None,
-                    beta: self.beta.clone(),
-                    witness: NonReturningWitness {
-                        blocking: true,
-                        lasso: false,
-                    },
-                    details: point_details(node_id),
-                });
-                break;
-            }
-        }
-        // Lasso paths — decided exactly; no cycle-length bound applies
-        // (the former `lasso_cycle_bound` config under-approximated this
-        // query and could miss violations). With retention on, the decision
-        // and the pump-cycle materialization come from one pipeline run
-        // (`nonneg_cycle_search_through_pred`): the walk's actions label the
-        // cycle, the Karp–Miller path to its start node labels the prefix;
-        // a walk past the materialization cap truncates the rendering only,
-        // never the decision.
-        if graph.accepting.any() && !skip_lasso {
-            let accepting = |s: usize| graph.accepting.contains(s);
-            let (lasso, details) = if retain {
-                match cover.nonneg_cycle_search_through_pred(
-                    vass,
-                    &accepting,
-                    WITNESS_CYCLE_CAP,
-                ) {
-                    CycleSearch::None => (false, None),
-                    CycleSearch::Witness(walk) => (
-                        true,
-                        Some(Arc::new(EntryDetails {
-                            prefix: steps_to(walk[0].0),
-                            cycle: walk
-                                .iter()
-                                .map(|&(_, action, _)| graph.labels[action].clone())
-                                .collect(),
-                            cycle_truncated: false,
-                        })),
-                    ),
-                    CycleSearch::ExceedsCap => (
-                        true,
-                        Some(Arc::new(EntryDetails {
-                            prefix: Vec::new(),
-                            cycle: Vec::new(),
-                            cycle_truncated: true,
-                        })),
-                    ),
-                }
-            } else {
-                (cover.nonneg_cycle_through_pred(vass, &accepting), None)
-            };
-            if lasso {
-                candidates.push(RtEntry {
-                    input_key,
-                    output: None,
-                    beta: self.beta.clone(),
-                    witness: NonReturningWitness {
-                        blocking: false,
-                        lasso: true,
-                    },
-                    details,
-                });
-            }
-        }
         cost.km_nodes = cover.node_count();
         (candidates, cost)
     }
@@ -1434,222 +1275,197 @@ impl<'a> TaskVerifier<'a> {
         shared: &mut PairShared,
     ) -> (Vec<RtEntry>, QueryCost) {
         let init = graph.initial_states[pos];
-        let states = &graph.states;
-        let input_key = graph.input_keys[states[init].input_index].clone();
         let mut cost = QueryCost {
             dims_before: graph.vass.dim,
             dims_after: shared.dims_after,
             ..QueryCost::default()
         };
         let vass = shared.vass.as_ref().unwrap_or(&graph.vass);
-        let mut candidates: Vec<RtEntry> = Vec::new();
-        let finite_ok = |s: &CState| self.cbuchi.is_finite_accepting(s.q);
-
-        // The pre-solver runs per initial state on the pair-level VASS —
-        // same filters as unshared mode, only the projection differs (the
+        // Same filters as unshared mode; only the projection differs (the
         // union cone instead of the per-init cone).
-        let presolved = self.config.presolve.then(|| {
-            let mut returning = vec![false; states.len()];
-            let mut blocking = vec![false; states.len()];
-            let lasso: Vec<bool> = (0..states.len())
-                .map(|q| graph.accepting.contains(q))
-                .collect();
-            for (q, cs) in states.iter().enumerate() {
-                if !finite_ok(cs) {
-                    continue;
-                }
-                if cs.closed {
-                    returning[q] = true;
-                } else {
-                    blocking[q] = cs
-                        .children
-                        .iter()
-                        .any(|(_, c)| matches!(c, ChildStatus::Active { output: None }));
-                }
-            }
-            let pre = presolve_query(vass, init, &returning, &blocking, &lasso);
-            cost.presolve.record(&pre);
-            pre
-        });
-        if presolved.as_ref().is_some_and(|pre| pre.skip_build()) {
-            return (candidates, cost);
+        let pre = self.presolve(graph, vass, init, &mut cost);
+        if pre.skip_build() {
+            return (Vec::new(), cost);
         }
-        let bounded: &[bool] = presolved
-            .as_ref()
-            .map_or(&[], |pre| pre.bounded_dims.as_slice());
-        // Boundedness certificates become *standing* constraints: fresh
-        // arena expansions skip ω-acceleration of certified dimensions for
-        // this and every later query of the pair (certificates come from
-        // the same pair-level VASS every time, so they compose).
-        let run = shared
-            .arena
-            .query(vass, init, self.config.km_node_cap, bounded);
-        let skip = |refuted: Option<has_analysis::Refutation>| refuted.is_some();
-        let (skip_returning, skip_blocking, skip_lasso) = presolved.as_ref().map_or(
-            (false, false, false),
-            |pre| (skip(pre.returning), skip(pre.blocking), skip(pre.lasso)),
+        let run = shared.arena.query(vass, init, self.config.km_node_cap);
+        let mut fallback_nodes = 0;
+        let candidates = self.collect_entries(
+            graph,
+            init,
+            &pre,
+            run.states(),
+            |vidx| run.path_to_node(vidx),
+            || {
+                let accepting = |s: usize| graph.accepting.contains(s);
+                let found = if self.config.witnesses {
+                    let search =
+                        run.nonneg_cycle_search_through_pred(vass, &accepting, WITNESS_CYCLE_CAP);
+                    lasso_details(graph, search, |vidx| run.path_to_node(vidx))
+                } else {
+                    (run.nonneg_cycle_through_pred(vass, &accepting), None)
+                };
+                if found.0 || !run.augmented_nonneg_cycle_through_pred(vass, &accepting) {
+                    return found;
+                }
+                // Ambiguous: a cycle exists only through jump edges, whose
+                // targets over-approximate. One from-scratch build decides;
+                // its nodes are charged to this query's cost.
+                let cover = CoverabilityGraph::build_capped(vass, init, self.config.km_node_cap);
+                fallback_nodes = cover.node_count();
+                self.cover_lasso(graph, vass, &cover)
+            },
         );
+        cost.km_nodes = fallback_nodes + run.node_count();
+        cost.km_reused = run.reused;
+        cost.km_subsumed = run.subsumed;
+        (candidates, cost)
+    }
 
-        let retain = self.config.witnesses;
-        let steps_to = |vidx: usize| -> Vec<WitnessStep> {
-            run.path_to_node(vidx)
-                .into_iter()
-                .map(|action| graph.labels[action].clone())
-                .collect()
+    /// Runs the query pre-solver (DESIGN.md §5.11) for one initial state:
+    /// static refutation filters over the (projected) VASS, run before any
+    /// Karp–Miller construction, with their verdicts recorded into `cost`.
+    /// The three target sets are exactly what [`TaskVerifier::collect_entries`]
+    /// looks for, so a refuted sub-query's scan would find nothing — the
+    /// capped build under-approximates coverability, which is why skipping
+    /// refuted work is verdict- and witness-identical (only the cost
+    /// statistics change). With the pre-solver off, nothing is refuted.
+    fn presolve(
+        &self,
+        graph: &ExploredGraph,
+        vass: &Vass,
+        init: usize,
+        cost: &mut QueryCost,
+    ) -> QueryPresolve {
+        if !self.config.presolve {
+            return QueryPresolve::default();
+        }
+        let returning: Vec<bool> = graph
+            .states
+            .iter()
+            .map(|cs| self.is_returning(cs))
+            .collect();
+        let blocking: Vec<bool> = graph.states.iter().map(|cs| self.is_blocking(cs)).collect();
+        let lasso: Vec<bool> = (0..graph.states.len())
+            .map(|q| graph.accepting.contains(q))
+            .collect();
+        let pre = presolve_query(vass, init, &returning, &blocking, &lasso);
+        cost.presolve.record(&pre);
+        pre
+    }
+
+    /// A control state where a returning run ends: the task closed and the
+    /// finite run is accepted.
+    fn is_returning(&self, cs: &CState) -> bool {
+        cs.closed && self.cbuchi.is_finite_accepting(cs.q)
+    }
+
+    /// A control state of a blocking run: the task is open, a child was
+    /// opened with a never-returning run, and the finite run is accepted.
+    fn is_blocking(&self, cs: &CState) -> bool {
+        !cs.closed
+            && cs
+                .children
+                .iter()
+                .any(|(_, c)| matches!(c, ChildStatus::Active { output: None }))
+            && self.cbuchi.is_finite_accepting(cs.q)
+    }
+
+    /// Reads one query's candidate entries off a coverability search, in
+    /// the push order [`TaskVerifier::init_queries`] documents: `visited`
+    /// yields each search node's control state in node order, `path_to` the
+    /// action path that reaches a node (the witness prefix), and `lasso`
+    /// decides the lasso sub-query. Sub-queries the pre-solver refuted are
+    /// skipped.
+    fn collect_entries(
+        &self,
+        graph: &ExploredGraph,
+        init: usize,
+        pre: &QueryPresolve,
+        visited: impl Iterator<Item = usize>,
+        path_to: impl Fn(usize) -> Vec<usize>,
+        lasso: impl FnOnce() -> (bool, Option<Arc<EntryDetails>>),
+    ) -> Vec<RtEntry> {
+        let input_key = &graph.input_keys[graph.states[init].input_index];
+        let entry = |output: Option<SymState>, witness, details| RtEntry {
+            input_key: input_key.clone(),
+            output,
+            beta: self.beta.clone(),
+            witness,
+            details,
         };
-        let point_details = |vidx: usize| -> Option<Arc<EntryDetails>> {
-            retain.then(|| {
+        // Witness retention: a candidate's run realization is the label
+        // sequence of its search path.
+        let point_details = |node: usize| -> Option<Arc<EntryDetails>> {
+            self.config.witnesses.then(|| {
                 Arc::new(EntryDetails {
-                    prefix: steps_to(vidx),
+                    prefix: labels_of(graph, path_to(node)),
                     cycle: Vec::new(),
                     cycle_truncated: false,
                 })
             })
         };
+        let mut candidates = Vec::new();
 
-        // Returning paths, over the visit order.
-        for (vidx, state) in run.states().enumerate() {
-            if skip_returning {
-                break;
-            }
-            let cs = &states[state];
-            if cs.closed && finite_ok(cs) {
-                let projected =
-                    self.project_output(&graph.syms[cs.sym as usize], &graph.out_vars);
-                candidates.push(RtEntry {
-                    input_key: input_key.clone(),
-                    output: Some(projected),
-                    beta: self.beta.clone(),
-                    witness: NonReturningWitness::default(),
-                    details: point_details(vidx),
-                });
-            }
-        }
-        // Blocking paths.
-        for (vidx, state) in run.states().enumerate() {
-            if skip_blocking {
-                break;
-            }
-            let cs = &states[state];
-            let blocking_child = cs
-                .children
-                .iter()
-                .any(|(_, c)| matches!(c, ChildStatus::Active { output: None }));
-            if !cs.closed && blocking_child && finite_ok(cs) {
-                candidates.push(RtEntry {
-                    input_key: input_key.clone(),
-                    output: None,
-                    beta: self.beta.clone(),
-                    witness: NonReturningWitness {
-                        blocking: true,
-                        lasso: false,
-                    },
-                    details: point_details(vidx),
-                });
-                break;
+        // Returning paths. The recorded output is the closing state
+        // projected onto the variables the parent can observe (the input
+        // and return variables) — the paper's τ_out — which also keeps
+        // the number of distinct R_T entries small. Blocking paths (a child
+        // was opened with a never-returning run) contribute one entry, at
+        // the first node that witnesses one, pushed after every returning
+        // entry.
+        let mut first_blocking = None;
+        for (node, state) in visited.enumerate() {
+            let cs = &graph.states[state];
+            if pre.returning.is_none() && self.is_returning(cs) {
+                let projected = self.project_output(&graph.syms[cs.sym as usize], &graph.out_vars);
+                candidates.push(entry(
+                    Some(projected),
+                    NonReturningWitness::default(),
+                    point_details(node),
+                ));
+            } else if first_blocking.is_none() && pre.blocking.is_none() && self.is_blocking(cs) {
+                first_blocking = Some(node);
             }
         }
-        // Lasso paths — the tiered decision described above.
-        if graph.accepting.any() && !skip_lasso {
-            let accepting = |s: usize| graph.accepting.contains(s);
-            let (mut lasso, mut details) = if retain {
-                match run.nonneg_cycle_search_through_pred(
-                    vass,
-                    &accepting,
-                    WITNESS_CYCLE_CAP,
-                ) {
-                    CycleSearch::None => (false, None),
-                    CycleSearch::Witness(walk) => (
-                        true,
-                        Some(Arc::new(EntryDetails {
-                            prefix: steps_to(walk[0].0),
-                            cycle: walk
-                                .iter()
-                                .map(|&(_, action, _)| graph.labels[action].clone())
-                                .collect(),
-                            cycle_truncated: false,
-                        })),
-                    ),
-                    CycleSearch::ExceedsCap => (
-                        true,
-                        Some(Arc::new(EntryDetails {
-                            prefix: Vec::new(),
-                            cycle: Vec::new(),
-                            cycle_truncated: true,
-                        })),
-                    ),
-                }
-            } else {
-                (run.nonneg_cycle_through_pred(vass, &accepting), None)
+        if let Some(node) = first_blocking {
+            let witness = NonReturningWitness {
+                blocking: true,
+                lasso: false,
             };
-            if !lasso && run.augmented_nonneg_cycle_through_pred(vass, &accepting) {
-                // Ambiguous: a cycle exists only through jump edges, whose
-                // targets over-approximate. One from-scratch build decides;
-                // its nodes are charged to this query's cost.
-                let cover = CoverabilityGraph::build_capped_with_bounds(
-                    vass,
-                    init,
-                    self.config.km_node_cap,
-                    bounded,
-                );
-                cost.km_nodes += cover.node_count();
-                let fallback_steps = |node: usize| -> Vec<WitnessStep> {
-                    cover
-                        .path_to_node(node)
-                        .into_iter()
-                        .map(|action| graph.labels[action].clone())
-                        .collect()
+            candidates.push(entry(None, witness, point_details(node)));
+        }
+        // Lasso paths — decided exactly, with no cycle-length bound.
+        if graph.accepting.any() && pre.lasso.is_none() {
+            let (found, details) = lasso();
+            if found {
+                let witness = NonReturningWitness {
+                    blocking: false,
+                    lasso: true,
                 };
-                let (l, d) = if retain {
-                    match cover.nonneg_cycle_search_through_pred(
-                        vass,
-                        &accepting,
-                        WITNESS_CYCLE_CAP,
-                    ) {
-                        CycleSearch::None => (false, None),
-                        CycleSearch::Witness(walk) => (
-                            true,
-                            Some(Arc::new(EntryDetails {
-                                prefix: fallback_steps(walk[0].0),
-                                cycle: walk
-                                    .iter()
-                                    .map(|&(_, action, _)| graph.labels[action].clone())
-                                    .collect(),
-                                cycle_truncated: false,
-                            })),
-                        ),
-                        CycleSearch::ExceedsCap => (
-                            true,
-                            Some(Arc::new(EntryDetails {
-                                prefix: Vec::new(),
-                                cycle: Vec::new(),
-                                cycle_truncated: true,
-                            })),
-                        ),
-                    }
-                } else {
-                    (cover.nonneg_cycle_through_pred(vass, &accepting), None)
-                };
-                lasso = l;
-                details = d;
-            }
-            if lasso {
-                candidates.push(RtEntry {
-                    input_key,
-                    output: None,
-                    beta: self.beta.clone(),
-                    witness: NonReturningWitness {
-                        blocking: false,
-                        lasso: true,
-                    },
-                    details,
-                });
+                candidates.push(entry(None, witness, details));
             }
         }
-        cost.km_nodes += run.node_count();
-        cost.km_reused = run.reused;
-        cost.km_subsumed = run.subsumed;
-        (candidates, cost)
+        candidates
+    }
+
+    /// The lasso decision over a from-scratch Karp–Miller graph. With
+    /// retention on, the decision and the pump-cycle materialization come
+    /// from one pipeline run (`nonneg_cycle_search_through_pred`); see
+    /// [`lasso_details`].
+    fn cover_lasso(
+        &self,
+        graph: &ExploredGraph,
+        vass: &Vass,
+        cover: &CoverabilityGraph,
+    ) -> (bool, Option<Arc<EntryDetails>>) {
+        let accepting = |s: usize| graph.accepting.contains(s);
+        if self.config.witnesses {
+            let search =
+                cover.nonneg_cycle_search_through_pred(vass, &accepting, WITNESS_CYCLE_CAP);
+            lasso_details(graph, search, |node| cover.path_to_node(node))
+        } else {
+            (cover.nonneg_cycle_through_pred(vass, &accepting), None)
+        }
     }
 
     /// Combines per-initial-state query results — which **must** be supplied
@@ -1695,6 +1511,43 @@ impl<'a> TaskVerifier<'a> {
         stats.rt_entries = entries.len();
         (entries, stats)
     }
+}
+
+/// The witness steps labelling an action path (actions and transitions share
+/// indices, so the path indexes straight into the labels recorded by
+/// `build_graph`).
+fn labels_of(graph: &ExploredGraph, path: Vec<usize>) -> Vec<WitnessStep> {
+    path.into_iter()
+        .map(|action| graph.labels[action].clone())
+        .collect()
+}
+
+/// Turns a lasso search into the decision and its retained details: the
+/// walk's actions label the pump cycle, and `path_to` its start node labels
+/// the prefix. A walk past the materialization cap truncates the rendering
+/// only, never the decision.
+fn lasso_details(
+    graph: &ExploredGraph,
+    search: CycleSearch<(usize, usize, usize)>,
+    path_to: impl Fn(usize) -> Vec<usize>,
+) -> (bool, Option<Arc<EntryDetails>>) {
+    let details = match search {
+        CycleSearch::None => return (false, None),
+        CycleSearch::Witness(walk) => EntryDetails {
+            prefix: labels_of(graph, path_to(walk[0].0)),
+            cycle: walk
+                .iter()
+                .map(|&(_, action, _)| graph.labels[action].clone())
+                .collect(),
+            cycle_truncated: false,
+        },
+        CycleSearch::ExceedsCap => EntryDetails {
+            prefix: Vec::new(),
+            cycle: Vec::new(),
+            cycle_truncated: true,
+        },
+    };
+    (true, Some(Arc::new(details)))
 }
 
 /// The immutable artifacts of one `(T, β)` forward exploration: the control

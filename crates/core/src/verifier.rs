@@ -80,10 +80,8 @@ pub struct VerifierConfig {
     pub projection: bool,
     /// Whether to run the query pre-solver before each Lemma 21 query
     /// (DESIGN.md §5.11): sound static refutation filters — control
-    /// skeleton, state-equation Z-relaxation, counter-abstraction DFA,
-    /// lasso circulation — decide sub-queries without building a
-    /// Karp–Miller graph, and per-dimension boundedness certificates prune
-    /// ω-acceleration work for the queries that survive. Every filter
+    /// skeleton, counter-abstraction DFA, lasso circulation — decide
+    /// sub-queries without building a Karp–Miller graph. Every filter
     /// refutes only genuinely empty sub-queries and the capped build
     /// under-approximates the search, so verdicts, entry lists and
     /// witnesses are identical with and without the pre-solver

@@ -18,9 +18,9 @@
 //! * [`BoundedExplorer`] — an explicit-state explorer with counter caps, used
 //!   for witness replay and as a test oracle against the Karp–Miller
 //!   procedures;
-//! * [`zrelax`] — the static pre-solver relaxations (state-equation and
-//!   circulation LPs, per-dimension truncation-DFA abstraction, boundedness
-//!   certificates) that refute queries before any graph is built
+//! * [`zrelax`] — the static pre-solver relaxations (control-skeleton
+//!   reachability, per-dimension truncation-DFA abstraction, lasso
+//!   circulation) that refute queries before any graph is built
 //!   (DESIGN.md §5.11).
 //!
 //! The paper cites the Rackoff/Habermehl EXPSPACE bounds for these problems;
@@ -57,7 +57,4 @@ pub use cycle::{
 pub use dense::{fx_hash, BitSet, FxBuildHasher, FxHashMap, FxHasher, Interner};
 pub use shared::{SharedCoverability, SharedRun};
 pub use vass::{Action, ActionCsr, Vass};
-pub use zrelax::{
-    certified_bounded_dims, control_reachable, counter_dfa_refutes, z_cover_feasible,
-    z_lasso_feasible,
-};
+pub use zrelax::{control_reachable, counter_dfa_refutes, z_lasso_feasible};

@@ -8,33 +8,20 @@
 //! deltas), run before any graph is built.
 //!
 //! * [`control_reachable`] — plain graph reachability with counters ignored:
-//!   the cheapest over-approximation, and the restriction the LP filters
+//!   the cheapest over-approximation, and the restriction the other filters
 //!   build on.
-//! * [`z_cover_feasible`] — the **state equation / Parikh-image
-//!   Z-relaxation**: an exact rational LP over action multiplicities
-//!   ([`has_arith::FlowLp`]) with flow balance from the initial state to a
-//!   super-sink behind the target set, and componentwise non-negative total
-//!   counter effect. A real covering run fires each action a non-negative
-//!   integer number of times satisfying exactly these constraints, so
-//!   infeasibility certifies "no target is coverable". Integrality and the
-//!   non-negativity of *intermediate* counter values are relaxed away.
-//! * [`z_lasso_feasible`] — the circulation form of the same relaxation: a
-//!   pump cycle of any lasso is a flow-conserving circulation with
-//!   componentwise non-negative total effect and at least one unit of flow
-//!   leaving an accepting state. Infeasibility certifies "no lasso".
 //! * [`counter_dfa_refutes`] — a per-dimension **counter-abstraction DFA**:
-//!   each projected dimension is normalized by the gcd of its deltas and
-//!   tracked exactly up to a small truncation bound `k` (with a saturating
-//!   "≥ k" top level), in product with the control skeleton. The abstraction
-//!   keeps exactly the ordering fact the LP relaxation discards — a counter
-//!   may never go negative *along* the run — so it refutes targets the state
-//!   equation cannot.
-//! * [`certified_bounded_dims`] — per-dimension boundedness certificates: a
-//!   dimension with no control-reachable circulation of componentwise
-//!   non-negative effect and strictly positive effect on it can never be
-//!   ω-accelerated, which
-//!   [`CoverabilityGraph::build_capped_with_bounds`](crate::CoverabilityGraph::build_capped_with_bounds)
-//!   exploits to skip acceleration work.
+//!   each dimension is normalized by the gcd of its deltas and tracked
+//!   exactly up to a truncation bound `k` (with a saturating "≥ k" top
+//!   level), in product with the control skeleton. The abstraction keeps the
+//!   ordering fact a total-effect count discards — a counter may never go
+//!   negative *along* the run.
+//! * [`z_lasso_feasible`] — the circulation Z-relaxation of a lasso: a pump
+//!   cycle of any lasso is a flow-conserving circulation with componentwise
+//!   non-negative total effect and at least one unit of flow leaving an
+//!   accepting state. Infeasibility certifies "no lasso". It is the one
+//!   filter that solves linear programs, and it is gated by a structural
+//!   work estimate.
 //!
 //! Soundness is one-directional throughout: a refutation is definitive, a
 //! feasible relaxation says nothing. The pre-solver therefore only ever
@@ -43,23 +30,23 @@
 //! pre-solver on and off — DESIGN.md §5.11).
 
 use crate::vass::Vass;
-use has_arith::{FlowLp, LpCmp, LpProblem, Rational};
 
 /// Hard ceiling on `control_states × abstraction_levels` for one
 /// [`counter_dfa_refutes`] product; dimensions whose product would exceed it
 /// are skipped (returning "no refutation" is always sound).
 const DFA_PRODUCT_CAP: usize = 1 << 18;
 
-/// Work ceiling for one exact-rational simplex solve, measured structurally
-/// as `rows² × columns` (pivot count scales with the rows, each pivot costs
-/// `rows × columns` rational operations). Programs above the ceiling are not
-/// solved — the filter reports "no refutation", which is always sound. The
-/// ceiling keeps one solve in the low hundreds of milliseconds, so the
-/// pre-solver can never cost more than the capped Karp–Miller build it
-/// would skip; without it the 300-plus-state VASS of the artifact-relation
-/// workloads spend tens of seconds per query in the LP. Structural, not
-/// timed: the gate depends only on the program's shape, so pre-solver
-/// verdicts stay deterministic across runs and thread counts.
+/// Work ceiling for the exact-rational simplex solves of one
+/// [`z_lasso_feasible`] call, measured structurally as `rows² × columns`
+/// (pivot count scales with the rows, each pivot costs `rows × columns`
+/// rational operations). Programs above the ceiling are not solved — the
+/// filter reports "no refutation", which is always sound. The ceiling keeps
+/// the filter in the low hundreds of milliseconds, so the pre-solver can
+/// never cost more than the capped Karp–Miller build it would skip; without
+/// it the 300-plus-state VASS of the artifact-relation workloads spend tens
+/// of seconds per query in the LP. Structural, not timed: the gate depends
+/// only on the program's shape, so pre-solver verdicts stay deterministic
+/// across runs and thread counts.
 const LP_WORK_CAP: usize = 4_000_000;
 
 /// `rows² × cols`, saturating: the structural simplex-work estimate gated by
@@ -70,8 +57,8 @@ fn lp_work(rows: usize, cols: usize) -> usize {
 
 /// Control states reachable from `init` when counters are ignored (every
 /// action is enabled). The cheapest refutation filter — and the restriction
-/// applied before every LP below, so unreachable components never inflate
-/// the programs.
+/// applied before the other filters below, so unreachable components never
+/// inflate their products or programs.
 pub fn control_reachable(vass: &Vass, init: usize) -> Vec<bool> {
     let mut seen = vec![false; vass.states];
     if init >= vass.states {
@@ -92,64 +79,6 @@ pub fn control_reachable(vass: &Vass, init: usize) -> Vec<bool> {
     seen
 }
 
-/// Builds the shared flow program over the control-reachable actions:
-/// returns the builder plus, per registered edge, its action index.
-fn reachable_flow(vass: &Vass, reachable: &[bool], extra_nodes: usize) -> (FlowLp, Vec<usize>) {
-    let mut flow = FlowLp::new(vass.states + extra_nodes, vass.dim);
-    let mut action_of_edge = Vec::new();
-    // Parallel actions with the same endpoints and delta are *identical LP
-    // columns*: multiplicity cannot change feasibility, and the generated
-    // workloads produce thousands of such duplicates. Deduplicate so the
-    // simplex cost scales with the distinct-effect edges only.
-    let mut seen = std::collections::HashSet::new();
-    for (i, a) in vass.actions.iter().enumerate() {
-        if reachable[a.from] && seen.insert((a.from, a.to, &a.delta)) {
-            flow.add_edge(a.from, a.to, &a.delta);
-            action_of_edge.push(i);
-        }
-    }
-    (flow, action_of_edge)
-}
-
-/// Adds `Σ xₑ·δₑ[d] ≥ 0` for every dimension (the total counter effect of
-/// the run must leave every counter non-negative from the all-zero start).
-fn add_effect_rows(lp: &mut LpProblem, flow: &FlowLp, dim: usize) {
-    for d in 0..dim {
-        let row = flow.effect_row(d);
-        if !row.is_empty() {
-            lp.add_constraint(&row, LpCmp::Ge, Rational::ZERO);
-        }
-    }
-}
-
-/// The state-equation Z-relaxation of "is some control state in `targets`
-/// coverable from `(init, 0̄)`?". Returns `false` only when the relaxation
-/// is infeasible — a sound refutation; `true` says nothing.
-///
-/// `reachable` must be [`control_reachable`]`(vass, init)` (callers compute
-/// it once and share it across filters). The target set is drained through a
-/// super-sink node so one LP covers the whole set.
-pub fn z_cover_feasible(vass: &Vass, init: usize, targets: &[bool], reachable: &[bool]) -> bool {
-    let live: Vec<usize> = (0..vass.states)
-        .filter(|&q| targets[q] && reachable[q])
-        .collect();
-    if live.is_empty() {
-        return false;
-    }
-    let sink = vass.states;
-    let (mut flow, _) = reachable_flow(vass, reachable, 1);
-    let zero = vec![0i64; vass.dim];
-    for &t in &live {
-        flow.add_edge(t, sink, &zero);
-    }
-    if lp_work(vass.states + 1 + vass.dim, flow.num_edges()) > LP_WORK_CAP {
-        return true;
-    }
-    let mut lp = flow.path_problem(init, sink);
-    add_effect_rows(&mut lp, &flow, vass.dim);
-    lp.is_feasible()
-}
-
 /// The circulation Z-relaxation of "is there a lasso through a control state
 /// in `accepting`?" — a cycle with componentwise non-negative summed effect
 /// through an accepting state (Lemma 21's repeated-reachability condition).
@@ -162,8 +91,10 @@ pub fn z_cover_feasible(vass: &Vass, init: usize, targets: &[bool], reachable: &
 /// (one node per control state) instead of a built graph. Returns `false`
 /// only on a sound refutation: no such control cycle exists, hence no lasso.
 pub fn z_lasso_feasible(vass: &Vass, accepting: &[bool], reachable: &[bool]) -> bool {
-    // Duplicate (from, to, delta) actions contribute nothing to the cycle
-    // decision; dedup as in `reachable_flow`.
+    // Parallel actions with the same endpoints and delta are identical LP
+    // columns: multiplicity cannot change feasibility, and the generated
+    // workloads produce thousands of such duplicates. Deduplicate so the
+    // simplex cost scales with the distinct-effect edges only.
     let mut seen = std::collections::HashSet::new();
     let edges: Vec<crate::cycle::DeltaEdge<'_>> = vass
         .actions
@@ -183,55 +114,6 @@ pub fn z_lasso_feasible(vass: &Vass, accepting: &[bool], reachable: &[bool]) -> 
     })
 }
 
-/// Per-dimension boundedness certificates: `bounded[d]` is `true` when no
-/// circulation over control-reachable actions has componentwise non-negative
-/// total effect and strictly positive effect on `d`.
-///
-/// A dimension that is unbounded from `(init, 0̄)` admits a self-covering run
-/// segment (same control state, componentwise no-smaller counters, strictly
-/// larger on `d` — Dickson's lemma along an unbounded run), whose action
-/// multiplicities are a feasible point of exactly this program. So an
-/// infeasible program certifies `d` bounded — and since the Karp–Miller
-/// construction ω-accelerates a dimension only if it is genuinely unbounded,
-/// a certified dimension is never accelerated
-/// ([`CoverabilityGraph::build_capped_with_bounds`](crate::CoverabilityGraph::build_capped_with_bounds)).
-pub fn certified_bounded_dims(vass: &Vass, reachable: &[bool]) -> Vec<bool> {
-    let (flow, action_of_edge) = reachable_flow(vass, reachable, 0);
-    let mut bounded = vec![false; vass.dim];
-    if vass.dim == 0 {
-        return bounded;
-    }
-    // One solve per can-grow dimension, so the whole pass is gated at
-    // `dim × rows² × cols` — the trivial no-increasing-action certificates
-    // below stay free either way.
-    let lp_ok = vass
-        .dim
-        .saturating_mul(lp_work(vass.states + vass.dim, flow.num_edges()))
-        <= LP_WORK_CAP;
-    let base = if lp_ok {
-        let mut base = flow.circulation_problem();
-        add_effect_rows(&mut base, &flow, vass.dim);
-        Some(base)
-    } else {
-        None
-    };
-    for (d, b) in bounded.iter_mut().enumerate() {
-        let can_grow = action_of_edge
-            .iter()
-            .any(|&i| vass.actions[i].delta[d] > 0);
-        if !can_grow {
-            // No control-reachable action ever increases d: trivially bounded.
-            *b = true;
-            continue;
-        }
-        let Some(base) = base.as_ref() else { continue };
-        let mut lp = base.clone();
-        lp.add_constraint(&flow.effect_row(d), LpCmp::Ge, Rational::ONE);
-        *b = !lp.is_feasible();
-    }
-    bounded
-}
-
 /// The gcd-normalized truncation abstraction of one counter dimension: a
 /// DFA over the values `{0·g, 1·g, …, (k−1)·g, ≥k·g}` (where `g` is the gcd
 /// of the dimension's deltas) in product with the control skeleton. Returns
@@ -240,10 +122,10 @@ pub fn certified_bounded_dims(vass: &Vass, reachable: &[bool]) -> Vec<bool> {
 /// every real run (the saturating top level absorbs all values `≥ k·g`, and
 /// decrements out of it re-enter the tracked range nondeterministically).
 ///
-/// This is the filter that catches *ordering* facts the state equation
+/// This is the filter that catches *ordering* facts a total-effect count
 /// relaxes away: a run that must spend a counter before any action can
-/// replenish it has a non-negative total effect (LP-feasible) yet dies in
-/// the abstraction, which forbids going negative at every step.
+/// replenish it has a non-negative total effect yet dies in the
+/// abstraction, which forbids going negative at every step.
 pub fn counter_dfa_refutes(vass: &Vass, init: usize, targets: &[bool], reachable: &[bool]) -> bool {
     if !(0..vass.states).any(|q| targets[q] && reachable[q]) {
         return true;
@@ -366,36 +248,15 @@ mod tests {
         t
     }
 
-    /// Reaching state 1 requires paying a token that is never produced: the
-    /// state equation refutes it (total effect on the counter would be −1).
-    #[test]
-    fn state_equation_refutes_unpayable_target() {
-        let mut v = Vass::new(2, 1);
-        v.add_action(0, vec![-1], 1);
-        let reachable = control_reachable(&v, 0);
-        assert!(reachable[1], "control skeleton alone cannot refute");
-        assert!(!z_cover_feasible(&v, 0, &target_set(2, 1), &reachable));
-    }
-
-    /// Produce then consume is LP-feasible and genuinely reachable.
-    #[test]
-    fn state_equation_admits_real_runs() {
-        let mut v = Vass::new(3, 1);
-        v.add_action(0, vec![1], 1);
-        v.add_action(1, vec![-1], 2);
-        let reachable = control_reachable(&v, 0);
-        assert!(z_cover_feasible(&v, 0, &target_set(3, 2), &reachable));
-    }
-
-    /// Spend-before-earn: the total effect balances (LP-feasible) but the
-    /// counter must go negative first — only the truncation DFA catches it.
+    /// Spend-before-earn: the total effect balances but the counter must go
+    /// negative first — the truncation DFA catches it.
     #[test]
     fn dfa_refutes_spend_before_earn() {
         let mut v = Vass::new(3, 1);
         v.add_action(0, vec![-1], 1); // spend a token we never had
         v.add_action(1, vec![1], 2); // earn it back too late
         let reachable = control_reachable(&v, 0);
-        assert!(z_cover_feasible(&v, 0, &target_set(3, 2), &reachable));
+        assert!(reachable[2], "control skeleton alone cannot refute");
         assert!(counter_dfa_refutes(&v, 0, &target_set(3, 2), &reachable));
         // The exact search agrees, of course.
         assert!(!v.state_reachable(0, 2));
@@ -424,29 +285,24 @@ mod tests {
         assert!(!z_lasso_feasible(&v, &target_set(2, 1), &reachable));
     }
 
+    /// `LP_WORK_CAP` is the one gate on the filter's simplex work: the same
+    /// draining self-loop is refuted while its program is at the cap, and
+    /// reported as "no refutation" once unreachable padding states push
+    /// `(states + dim)² × edges` past it.
     #[test]
-    fn bounded_dims_are_certified() {
-        // dim 0 pumps freely; dim 1 only ever drains.
-        let mut v = Vass::new(1, 2);
-        v.add_action(0, vec![1, 0], 0);
-        v.add_action(0, vec![0, -1], 0);
-        let reachable = control_reachable(&v, 0);
-        assert_eq!(certified_bounded_dims(&v, &reachable), vec![false, true]);
-    }
-
-    #[test]
-    fn balanced_transfer_cycle_is_certified_bounded() {
-        // +1 then −1 on the same dimension: the circulation with positive
-        // effect does not exist, so the dimension is certified bounded even
-        // though it moves.
-        let mut v = Vass::new(2, 1);
-        v.add_action(0, vec![1], 1);
-        v.add_action(1, vec![-1], 0);
-        let reachable = control_reachable(&v, 0);
-        assert_eq!(certified_bounded_dims(&v, &reachable), vec![true]);
-        // Adding a strictly pumping loop flips the certificate.
-        v.add_action(0, vec![1], 0);
-        assert_eq!(certified_bounded_dims(&v, &reachable), vec![false]);
+    fn lp_work_cap_turns_off_the_circulation_filter() {
+        let lasso_refuted = |states: usize| {
+            let mut v = Vass::new(states, 1);
+            v.add_action(0, vec![-1], 0);
+            let reachable = control_reachable(&v, 0);
+            !z_lasso_feasible(&v, &target_set(states, 0), &reachable)
+        };
+        assert!(lasso_refuted(1));
+        // One distinct reachable edge: the work is (states + 1)², and the cap
+        // is exactly 2000².
+        assert_eq!(lp_work(2000, 1), LP_WORK_CAP);
+        assert!(lasso_refuted(1999), "at the cap the filter still runs");
+        assert!(!lasso_refuted(2000), "past the cap the filter must not run");
     }
 
     /// A small random VASS for the refutation-soundness property tests.
@@ -474,8 +330,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The pre-solver refutations are sound against the exact capped
-        /// search: LP- or DFA-refuted ⇒ the Karp–Miller graph contains no
-        /// target node, and circulation-refuted ⇒ no non-negative cycle.
+        /// search: DFA-refuted ⇒ the Karp–Miller graph contains no target
+        /// node, and circulation-refuted ⇒ no non-negative cycle.
         #[test]
         fn refutations_are_sound_against_exact_search(v in arb_vass(), target_seed in 0usize..64) {
             let target = target_seed % v.states;
@@ -483,9 +339,6 @@ mod tests {
             let targets = target_set(v.states, target);
             let graph = CoverabilityGraph::build_capped(&v, 0, 2_000);
             let covered = graph.nodes().any(|n| n.state == target);
-            if !z_cover_feasible(&v, 0, &targets, &reachable) {
-                prop_assert!(!covered, "state equation refuted a coverable state");
-            }
             if counter_dfa_refutes(&v, 0, &targets, &reachable) {
                 prop_assert!(!covered, "counter DFA refuted a coverable state");
             }
@@ -497,29 +350,5 @@ mod tests {
             }
         }
 
-        /// Certified-bounded dimensions are never ω-accelerated, and the
-        /// bounds-aware builder is byte-identical to the plain one.
-        #[test]
-        fn certified_bounds_match_the_graph(v in arb_vass()) {
-            let reachable = control_reachable(&v, 0);
-            let bounded = certified_bounded_dims(&v, &reachable);
-            let plain = CoverabilityGraph::build_capped(&v, 0, 2_000);
-            for (d, &b) in bounded.iter().enumerate() {
-                if b {
-                    prop_assert!(
-                        plain.nodes().all(|n| n.marking[d] != crate::coverability::OMEGA),
-                        "certified-bounded dimension {d} was accelerated"
-                    );
-                }
-            }
-            let with_bounds =
-                CoverabilityGraph::build_capped_with_bounds(&v, 0, 2_000, &bounded);
-            prop_assert_eq!(plain.node_count(), with_bounds.node_count());
-            prop_assert_eq!(plain.edge_count(), with_bounds.edge_count());
-            for (a, b) in plain.nodes().zip(with_bounds.nodes()) {
-                prop_assert_eq!(a.state, b.state);
-                prop_assert_eq!(a.marking, b.marking);
-            }
-        }
     }
 }

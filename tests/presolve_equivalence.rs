@@ -1,7 +1,6 @@
 //! The pre-solver soundness contract (DESIGN.md §5.11): the static
-//! refutation filters — control skeleton, state-equation Z-relaxation,
-//! counter-abstraction DFA, lasso circulation — and the boundedness
-//! certificates are *exact* reductions. `Verifier::verify` must report the
+//! refutation filters — control skeleton, counter-abstraction DFA, lasso
+//! circulation — are *exact* reductions. `Verifier::verify` must report the
 //! same verdict (holds, violation kind, violating input type) with the
 //! pre-solver on and off, and each setting must stay byte-identical across
 //! thread counts.
@@ -11,13 +10,9 @@
 //! `presolve` counters differ between the two settings by design.
 //!
 //! A directed property test closes the loop at the VASS layer: whenever a
-//! filter refutes a sub-query, a capped exact search must find nothing (the
-//! complementary test — certificates never change a Karp–Miller graph — is
-//! `certified_bounds_match_the_graph` in `has-vass`).
+//! filter refutes a sub-query, a capped exact search must find nothing.
 
-use has::vass::{
-    control_reachable, counter_dfa_refutes, z_cover_feasible, BoundedExplorer, Vass,
-};
+use has::vass::{control_reachable, counter_dfa_refutes, BoundedExplorer, Vass};
 use has::verifier::{Verifier, VerifierConfig, ViolationKind};
 use has::workloads::counters::{counter_gadget, counter_liveness_property};
 use has::workloads::generator::GeneratorParams;
@@ -242,8 +237,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Directed filter soundness at the VASS layer: whenever the control or
-    /// state-equation or DFA filter refutes coverage of a target state, a
-    /// capped exact forward search must find no configuration at it.
+    /// DFA filter refutes coverage of a target state, a capped exact forward
+    /// search must find no configuration at it.
     #[test]
     fn refuted_targets_are_never_reached(v in arb_vass(), target_seed in 0usize..64) {
         let target = target_seed % v.states;
@@ -251,7 +246,6 @@ proptest! {
         let mut targets = vec![false; v.states];
         targets[target] = true;
         let refuted = !targets.iter().zip(&reachable).any(|(&t, &r)| t && r)
-            || !z_cover_feasible(&v, 0, &targets, &reachable)
             || counter_dfa_refutes(&v, 0, &targets, &reachable);
         if refuted {
             let explorer = BoundedExplorer::new(6, 4_000);
