@@ -234,14 +234,15 @@ impl CState {
     }
 }
 
-/// Translates between one pair's symbolic-state arena and the task-level
-/// [`SuccessorMemo`]'s arena, in both directions, without re-hashing a
-/// state once its counterpart is known.
+/// Connects one pair's symbolic-state arena to the task-level
+/// [`SuccessorMemo`]: it names each local state's memo key state once, and
+/// translates memo ids of post-states into local ids.
 struct MemoBridge<'m> {
     memo: &'m SuccessorMemo,
-    /// Memo id per local id (`u32::MAX`: not yet known).
-    to_memo: Vec<u32>,
-    /// Local id per memo id.
+    /// Memo id of each local state's input restriction, the state its
+    /// successors are keyed by.
+    key_state: Vec<Option<u32>>,
+    /// Local id per memo id of a post-state already translated.
     to_local: FxHashMap<u32, u32>,
 }
 
@@ -249,43 +250,43 @@ impl<'m> MemoBridge<'m> {
     fn new(memo: &'m SuccessorMemo) -> Self {
         MemoBridge {
             memo,
-            to_memo: Vec::new(),
+            key_state: Vec::new(),
             to_local: FxHashMap::default(),
         }
     }
 
-    fn link(&mut self, local: u32, memo: u32) {
-        let slot = local as usize;
-        if self.to_memo.len() <= slot {
-            self.to_memo.resize(slot + 1, u32::MAX);
-        }
-        self.to_memo[slot] = memo;
-        self.to_local.insert(memo, local);
-    }
-
-    /// The memo id of local state `local`, interning it in the memo on
-    /// first sight.
-    fn memo_id(&mut self, syms: &Interner<SymState>, local: u32) -> u32 {
-        match self.to_memo.get(local as usize) {
-            Some(&m) if m != u32::MAX => m,
-            _ => {
-                let m = self.memo.intern(syms.get(local));
-                self.link(local, m);
-                m
-            }
-        }
+    /// The memo id of local state `local`'s input restriction, computed by
+    /// `restrict` and interned in the memo on first sight.
+    fn key_state(&mut self, local: u32, restrict: impl FnOnce() -> SymState) -> u32 {
+        *cached(&mut self.key_state, local, || self.memo.intern(&restrict()))
     }
 
     /// The local id of memo state `memo`, interning a copy of it locally on
     /// first sight.
     fn local_id(&mut self, syms: &mut Interner<SymState>, memo: u32) -> u32 {
-        if let Some(&local) = self.to_local.get(&memo) {
-            return local;
-        }
-        let local = syms.intern(self.memo.state(memo)).0;
-        self.link(local, memo);
-        local
+        *self
+            .to_local
+            .entry(memo)
+            .or_insert_with(|| syms.intern(self.memo.state(memo)).0)
     }
+}
+
+/// `cache[id]`, computed by `compute` on first use.
+fn cached<T>(cache: &mut Vec<Option<T>>, id: u32, compute: impl FnOnce() -> T) -> &T {
+    let slot = id as usize;
+    if cache.len() <= slot {
+        cache.resize_with(slot + 1, || None);
+    }
+    cache[slot].get_or_insert_with(compute)
+}
+
+/// The condition propositions of `props` evaluated in one symbolic state:
+/// the letter bits they fix, and the propositions the state leaves
+/// undetermined (in proposition order, truncated to `max_unknown_props`).
+/// Neither depends on `β`, the Büchi state or the service observed.
+struct ConditionBits {
+    bits: Box<[u64]>,
+    unknown: Box<[usize]>,
 }
 
 /// Explores one `(T, β)` pair and contributes entries to `R_T`.
@@ -481,11 +482,22 @@ impl<'a> TaskVerifier<'a> {
     // Successor enumeration for internal services
     // ------------------------------------------------------------------
 
-    /// Enumerates the possible post-states of an internal service from
-    /// `state`: input variables keep their pattern, every other variable is
-    /// rewritten (restriction 1 of Section 6), constrained by the
-    /// post-condition.
-    fn enumerate_post_states(&self, state: &SymState, post: &Condition) -> Vec<SymState> {
+    /// The part of `state` an internal service's post-states depend on:
+    /// its restriction to the task's input variables
+    /// ([`SymState::restriction`]), which is what
+    /// [`TaskVerifier::enumerate_post_states`] starts from.
+    fn input_restriction(&self, state: &SymState) -> SymState {
+        let schema = self.schema();
+        state.restriction(self.ctx, schema, &schema.task(self.task).input_vars)
+    }
+
+    /// Enumerates the possible post-states of an internal service from a
+    /// source state whose input restriction is `base`
+    /// ([`TaskVerifier::input_restriction`]): input variables keep their
+    /// pattern, every other variable is rewritten (restriction 1 of
+    /// Section 6), constrained by the post-condition. The source state is
+    /// read only through `base`.
+    fn enumerate_post_states(&self, base: SymState, post: &Condition) -> Vec<SymState> {
         let schema = self.schema();
         let t = schema.task(self.task);
         let free_vars: Vec<VarId> = t
@@ -494,9 +506,6 @@ impl<'a> TaskVerifier<'a> {
             .copied()
             .filter(|v| !t.input_vars.contains(v))
             .collect();
-
-        let mut base = SymState::blank(self.ctx, schema);
-        base.adopt_vars(self.ctx, state, &t.input_vars);
 
         let mut states = vec![base];
         let mut remaining: std::collections::BTreeSet<VarId> = free_vars.iter().copied().collect();
@@ -621,9 +630,42 @@ impl<'a> TaskVerifier<'a> {
     // Letters and Büchi stepping
     // ------------------------------------------------------------------
 
+    /// Evaluates the condition propositions of `props` in `sym`: the part of
+    /// [`TaskVerifier::letters`] that depends on the state alone, computed
+    /// once per state of a pair.
+    fn condition_bits(&self, sym: &SymState) -> ConditionBits {
+        let mut bits = vec![0u64; self.cbuchi.words()];
+        let mut unknown: Vec<usize> = Vec::new();
+        for (bit, p) in self.props.iter().enumerate() {
+            let TaskProp::Condition(c) = p else { continue };
+            match sym.satisfies(self.ctx, c, &Self::no_arith) {
+                Some(true) => bits[bit / 64] |= 1u64 << (bit % 64),
+                Some(false) => {}
+                None => unknown.push(bit),
+            }
+        }
+        unknown.truncate(self.config.max_unknown_props);
+        ConditionBits {
+            bits: bits.into_boxed_slice(),
+            unknown: unknown.into_boxed_slice(),
+        }
+    }
+
+    /// [`TaskVerifier::condition_bits`] of local state `sym`, computed once
+    /// per state and kept in `cache` by local id.
+    fn conditions_of<'c>(
+        &self,
+        cache: &'c mut Vec<Option<ConditionBits>>,
+        syms: &Interner<SymState>,
+        sym: u32,
+    ) -> &'c ConditionBits {
+        cached(cache, sym, || self.condition_bits(syms.get(sym)))
+    }
+
     /// The truth assignments ("letters") compatible with observing `service`
-    /// in state `sym`, branching over propositions left undetermined by the
-    /// abstraction (arithmetic atoms when cell tracking is disabled).
+    /// in a state whose condition propositions evaluate to `conds`,
+    /// branching over propositions left undetermined by the abstraction
+    /// (arithmetic atoms when cell tracking is disabled).
     ///
     /// A letter is a word-packed truth assignment over the canonical sorted
     /// proposition list `self.props` (bit `i` ⇔ `props[i]` holds; absent —
@@ -633,21 +675,14 @@ impl<'a> TaskVerifier<'a> {
     /// proposition order, matching the former enumeration exactly.
     fn letters(
         &self,
-        sym: &SymState,
+        conds: &ConditionBits,
         service: ServiceRef,
         child_choice: Option<(TaskId, &[bool])>,
     ) -> Vec<Box<[u64]>> {
-        let mut base = vec![0u64; self.cbuchi.words()];
-        let mut unknown: Vec<usize> = Vec::new();
+        let mut base = conds.bits.to_vec();
         for (bit, p) in self.props.iter().enumerate() {
             let value = match p {
-                TaskProp::Condition(c) => match sym.satisfies(self.ctx, c, &Self::no_arith) {
-                    Some(b) => b,
-                    None => {
-                        unknown.push(bit);
-                        false
-                    }
-                },
+                TaskProp::Condition(_) => false,
                 TaskProp::Service(s) => *s == service,
                 TaskProp::Child { child, phi_index } => match (child_choice, service) {
                     (Some((chosen, beta)), ServiceRef::Opening(opened))
@@ -662,7 +697,7 @@ impl<'a> TaskVerifier<'a> {
                 base[bit / 64] |= 1u64 << (bit % 64);
             }
         }
-        unknown.truncate(self.config.max_unknown_props);
+        let unknown = &conds.unknown;
         let mut letters = Vec::with_capacity(1 << unknown.len());
         for mask in 0..(1usize << unknown.len()) {
             let mut letter = base.clone();
@@ -876,7 +911,7 @@ impl<'a> TaskVerifier<'a> {
         let mut cstates: Interner<CState> = Interner::new();
         // Counter dimensions in first-encounter order; the map is
         // lookup-only (never iterated), so deterministic hashing suffices.
-        let mut counter_dims: FxHashMap<ProjectionKey, usize> = FxHashMap::default();
+        let mut counter_dims: FxHashMap<ProjectionKey, u32> = FxHashMap::default();
         // Transitions: (from, delta as sparse (dim, amount) pairs, to). A
         // service contributes at most one insert and one retrieve, so a flat
         // two-entry vector replaces the former per-transition `BTreeMap`.
@@ -890,19 +925,25 @@ impl<'a> TaskVerifier<'a> {
         let mut labels: Vec<WitnessStep> = Vec::new();
 
         // Accumulates a counter bump into the sparse delta.
-        let bump = |delta: &mut Vec<(u32, i64)>, dim: usize, amount: i64| {
-            let dim = dim as u32;
+        let bump = |delta: &mut Vec<(u32, i64)>, dim: u32, amount: i64| {
             match delta.iter_mut().find(|(d, _)| *d == dim) {
                 Some((_, a)) => *a += amount,
                 None => delta.push((dim, amount)),
             }
         };
 
+        // What depends on a symbolic state alone is computed once per local
+        // state id, on first use: its condition propositions (the
+        // β-independent part of every letter) and, below, its counter
+        // dimension and its memo key state.
+        let mut conds: Vec<Option<ConditionBits>> = Vec::new();
+
         // Initial states: step the Büchi automaton on the opening letter.
         for (input_index, input) in inputs.iter().enumerate() {
             input_keys.push(input.project_vars(self.ctx, &t.input_vars));
             let sym_id = syms.intern(input.clone()).0;
-            for letter in self.letters(input, ServiceRef::Opening(self.task), None) {
+            let cond = self.conditions_of(&mut conds, &syms, sym_id);
+            for letter in self.letters(cond, ServiceRef::Opening(self.task), None) {
                 for q in self.step_buchi(None, &letter) {
                     let c = CState {
                         sym: sym_id,
@@ -935,14 +976,25 @@ impl<'a> TaskVerifier<'a> {
             v.dedup();
             v
         };
+        let ts_exprs = SymState::projection_exprs(self.ctx, &ts_vars);
+        // Counter dimension per local state id, numbered in first-encounter
+        // order.
+        let mut dim_of: Vec<Option<u32>> = Vec::new();
+        let mut counter_dim = |syms: &Interner<SymState>, sym: u32| -> u32 {
+            *cached(&mut dim_of, sym, || {
+                let key = syms.get(sym).projection_key(&ts_exprs);
+                let dims = counter_dims.len() as u32;
+                *counter_dims.entry(key).or_insert(dims)
+            })
+        };
 
         // Post-state enumeration is the expensive step and depends only on
-        // the symbolic state, the service and the caps — not on β or the
-        // Büchi/children components of the control state — so every pair
-        // of the task reads it from the task-level memo (DESIGN.md §5.13).
-        // Memo ids are translated into this pair's arena in list order, so
-        // local ids come out exactly as if the list had been enumerated
-        // here.
+        // the source state's input restriction, the service and the caps —
+        // not on β, the Büchi/children components of the control state or
+        // the source's non-input variables — so every pair of the task
+        // reads it from the task-level memo (DESIGN.md §5.13). Memo ids are
+        // translated into this pair's arena in list order, so local ids come
+        // out exactly as if the list had been enumerated here.
         let mut bridge = MemoBridge::new(self.ctx.successors());
         while let Some(id) = worklist.pop_front() {
             if cstates.len() > self.config.max_control_states {
@@ -969,10 +1021,12 @@ impl<'a> TaskVerifier<'a> {
                         service: service_idx,
                         max_successors: self.config.max_successors,
                         max_merge_pairs: self.config.max_merge_pairs,
-                        state: bridge.memo_id(&syms, current.sym),
+                        state: bridge.key_state(current.sym, || {
+                            self.input_restriction(syms.get(current.sym))
+                        }),
                     };
                     let posts = bridge.memo.successors(key, || {
-                        self.enumerate_post_states(syms.get(current.sym), &service.post)
+                        self.enumerate_post_states(bridge.memo.state(key.state), &service.post)
                     });
                     for &memo_id in posts.iter() {
                         let post_id = bridge.local_id(&mut syms, memo_id);
@@ -980,21 +1034,15 @@ impl<'a> TaskVerifier<'a> {
                         let mut delta: Vec<(u32, i64)> = Vec::new();
                         if t.artifact_relation.is_some() {
                             if service.delta.inserts() {
-                                let key =
-                                    syms.get(current.sym).project_vars(self.ctx, &ts_vars);
-                                let dims = counter_dims.len();
-                                let dim = *counter_dims.entry(key).or_insert(dims);
-                                bump(&mut delta, dim, 1);
+                                bump(&mut delta, counter_dim(&syms, current.sym), 1);
                             }
                             if service.delta.retrieves() {
-                                let key = syms.get(post_id).project_vars(self.ctx, &ts_vars);
-                                let dims = counter_dims.len();
-                                let dim = *counter_dims.entry(key).or_insert(dims);
-                                bump(&mut delta, dim, -1);
+                                bump(&mut delta, counter_dim(&syms, post_id), -1);
                             }
                         }
                         let sref = ServiceRef::Internal(self.task, service_idx);
-                        for letter in self.letters(syms.get(post_id), sref, None) {
+                        let cond = self.conditions_of(&mut conds, &syms, post_id);
+                        for letter in self.letters(cond, sref, None) {
                             for q in self.step_buchi(Some(current.q), &letter) {
                                 let next = CState {
                                     sym: post_id,
@@ -1036,9 +1084,8 @@ impl<'a> TaskVerifier<'a> {
                 for entry in summary.matching(&child_key) {
                     let out_id = entry.output.as_ref().map(|s| syms.intern(s.clone()).0);
                     let sref = ServiceRef::Opening(child);
-                    for letter in
-                        self.letters(syms.get(current.sym), sref, Some((child, &entry.beta)))
-                    {
+                    let cond = self.conditions_of(&mut conds, &syms, current.sym);
+                    for letter in self.letters(cond, sref, Some((child, &entry.beta))) {
                         for q in self.step_buchi(Some(current.q), &letter) {
                             let next = CState {
                                 sym: current.sym,
@@ -1075,9 +1122,9 @@ impl<'a> TaskVerifier<'a> {
                 let new_sym =
                     self.apply_return(syms.get(current.sym), child, syms.get(out));
                 let sref = ServiceRef::Closing(child);
-                let letters = self.letters(&new_sym, sref, None);
                 let new_sym_id = syms.intern(new_sym).0;
-                for letter in letters {
+                let cond = self.conditions_of(&mut conds, &syms, new_sym_id);
+                for letter in self.letters(cond, sref, None) {
                     for q in self.step_buchi(Some(current.q), &letter) {
                         let next = CState {
                             sym: new_sym_id,
@@ -1108,7 +1155,8 @@ impl<'a> TaskVerifier<'a> {
                 && self.sat_optimistic(syms.get(current.sym), &t.closing.pre)
             {
                 let sref = ServiceRef::Closing(self.task);
-                for letter in self.letters(syms.get(current.sym), sref, None) {
+                let cond = self.conditions_of(&mut conds, &syms, current.sym);
+                for letter in self.letters(cond, sref, None) {
                     for q in self.step_buchi(Some(current.q), &letter) {
                         let next = CState {
                             sym: current.sym,

@@ -2,14 +2,17 @@
 //!
 //! The verifier explores one product `V(T, β)` per truth assignment `β`, but
 //! the post-states of an internal service depend only on the task's
-//! context, the enumeration caps, the source state and the service — never
-//! on `β` (only the Büchi step does). [`SuccessorMemo`] keeps those post
-//! lists for the whole task, so every `β` after the first reads them
-//! instead of enumerating them again (DESIGN.md §5.13).
+//! context, the enumeration caps, the service and the source state's
+//! restriction to the task's input variables — never on `β` (only the
+//! Büchi step does), and never on the source's other variables, which the
+//! service rewrites. [`SuccessorMemo`] keeps those post lists for the whole
+//! task, keyed by that restriction, so a list is enumerated once per task
+//! for every source state that restricts to it (DESIGN.md §5.13).
 //!
 //! States are interned once into a task-level arena and the lists hold
 //! arena ids, so a state reached under many services or assignments is
-//! stored once. The memo is filled lazily and emptied by
+//! stored once. The arena holds the restrictions the keys name as well as
+//! the post-states. The memo is filled lazily and emptied by
 //! [`SuccessorMemo::release`] when the task's summary commits.
 //!
 //! The memo is safe to fill from several threads. No lock is held while a
@@ -32,7 +35,11 @@ pub struct SuccessorKey {
     pub max_successors: usize,
     /// The `max_merge_pairs` cap the list was enumerated under.
     pub max_merge_pairs: usize,
-    /// Arena id of the source state ([`SuccessorMemo::intern`]).
+    /// Arena id ([`SuccessorMemo::intern`]) of the source state's
+    /// restriction to the task's input variables
+    /// ([`SymState::restriction`]): the only part of the source state the
+    /// enumeration reads. Source states that differ only outside the inputs
+    /// share one list.
     pub state: u32,
 }
 

@@ -557,6 +557,18 @@ impl SymState {
         self.normalize();
     }
 
+    /// The restriction of this state to the expressions anchored at `vars`:
+    /// the blank state with their classes and bindings adopted from `self`
+    /// ([`SymState::adopt_vars`]). Equalities among those expressions, and
+    /// between one of them and `null`, `0` or a constant, carry over; every
+    /// other expression keeps its blank value. Two states that differ only
+    /// outside `vars` therefore restrict to equal states.
+    pub fn restriction(&self, ctx: &TaskContext, schema: &ArtifactSchema, vars: &[VarId]) -> Self {
+        let mut out = SymState::blank(ctx, schema);
+        out.adopt_vars(ctx, self, vars);
+        out
+    }
+
     /// If class `c` in this state contains a constant expression (`0` or a
     /// named constant), returns that expression's index.
     fn constant_class_expr(&self, ctx: &TaskContext, c: u32) -> Option<usize> {
@@ -866,5 +878,71 @@ mod tests {
         // hotel untouched: still null.
         assert!(target.is_null(&f.ctx, f.hotel));
         assert!(target.class_count() >= 3);
+    }
+
+    #[test]
+    fn restriction_keeps_exactly_the_pattern_of_its_variables() {
+        let f = fixture();
+        let schema = &f.system.schema;
+        let one = f.ctx.index_of(&Expr::Const(Rational::from_int(1))).unwrap();
+        let (price, status) = (f.ctx.var_idx(f.price), f.ctx.var_idx(f.status));
+        let inputs = [f.flight, f.price];
+
+        // Two states that differ only outside the inputs restrict to equal
+        // states.
+        let mut a = SymState::blank(&f.ctx, schema);
+        a.bind(&f.ctx, f.flight, Some(f.flights));
+        a.fresh_numeric(&f.ctx, f.price);
+        a.normalize();
+        let mut b = a.clone();
+        let hotels = schema.database.relation_by_name("HOTELS").unwrap();
+        b.bind(&f.ctx, f.hotel, Some(hotels));
+        b.fresh_numeric(&f.ctx, f.status);
+        b.union(&f.ctx, status, one).unwrap();
+        b.normalize();
+        assert_ne!(a, b);
+        assert_eq!(
+            a.restriction(&f.ctx, schema, &inputs),
+            b.restriction(&f.ctx, schema, &inputs)
+        );
+
+        // An equality between an input navigation and an input variable
+        // survives, and so does one between an input and a constant.
+        let nav_price = f
+            .ctx
+            .index_of(&Expr::Nav {
+                var: f.flight,
+                rel: f.flights,
+                path: vec![1],
+            })
+            .unwrap();
+        let mut c = a.clone();
+        c.union(&f.ctx, nav_price, price).unwrap();
+        c.normalize();
+        let r = c.restriction(&f.ctx, schema, &inputs);
+        assert!(r.eq(nav_price, price));
+        assert_eq!(r.binding_of(&f.ctx, f.flight), Some(f.flights));
+        let mut d = a.clone();
+        d.union(&f.ctx, price, one).unwrap();
+        d.normalize();
+        assert!(d.restriction(&f.ctx, schema, &inputs).eq(price, one));
+
+        // An input equal to null or zero stays so.
+        let blank = SymState::blank(&f.ctx, schema);
+        let r = blank.restriction(&f.ctx, schema, &inputs);
+        assert!(r.is_null(&f.ctx, f.flight));
+        assert!(r.eq(price, f.ctx.zero_idx));
+        assert_eq!(r, blank);
+
+        // An equality between an input and a non-input variable does not
+        // survive: the non-input is back at its blank value.
+        let mut e = a.clone();
+        e.fresh_numeric(&f.ctx, f.status);
+        e.union(&f.ctx, status, price).unwrap();
+        e.normalize();
+        let r = e.restriction(&f.ctx, schema, &inputs);
+        assert!(!r.eq(status, price));
+        assert!(r.eq(status, f.ctx.zero_idx));
+        assert_eq!(r, a.restriction(&f.ctx, schema, &inputs));
     }
 }

@@ -158,31 +158,75 @@ fn check_against_fresh(
                 "{label}: task {task:?} β {beta:?}: graphs differ"
             );
         }
-        // Commit the task's summary for its parent's builds.
-        let mut summary = TaskSummary::default();
-        for beta in &betas {
-            let buchi = warm.buchi_shared(task, beta);
-            let (entries, _) = TaskVerifier::new(
-                system,
-                config,
-                &warm.contexts[&task],
-                task,
-                beta.clone(),
-                warm.phi(task),
-                &buchi,
-                Arc::clone(&summaries),
-                &warm.contexts,
-                &dead,
-            )
-            .explore();
-            summary.entries.extend(entries);
-        }
+        summaries = commit(system, config, &warm, task, &summaries, &dead);
         memo.release();
-        let mut map = (*summaries).clone();
-        map.insert(task, Arc::new(summary));
-        summaries = Arc::new(map);
     }
     assert!(lists > 0, "{label}: no build read a memo another β filled");
+}
+
+/// Explores every `β` of `task` and returns `summaries` with the task's
+/// summary added, for its parent's builds.
+fn commit(
+    system: &ArtifactSystem,
+    config: &VerifierConfig,
+    pc: &PropertyContext,
+    task: TaskId,
+    summaries: &Arc<SummaryMap>,
+    dead: &DeadServiceMap,
+) -> Arc<SummaryMap> {
+    let mut summary = TaskSummary::default();
+    for beta in pc.assignments(task) {
+        let buchi = pc.buchi_shared(task, &beta);
+        let (entries, _) = TaskVerifier::new(
+            system,
+            config,
+            &pc.contexts[&task],
+            task,
+            beta,
+            pc.phi(task),
+            &buchi,
+            Arc::clone(summaries),
+            &pc.contexts,
+            dead,
+        )
+        .explore();
+        summary.entries.extend(entries);
+    }
+    let mut map = (**summaries).clone();
+    map.insert(task, Arc::new(summary));
+    Arc::new(map)
+}
+
+/// The memo keys a post list by the source state's restriction to the
+/// task's input variables, the only part of the source the enumeration
+/// reads. A task without inputs (the root of every instance) restricts
+/// every state to the same blank state, so after all its pairs are built
+/// the memo holds at most one list per internal service, however many
+/// states those pairs reached.
+#[test]
+fn tasks_without_inputs_keep_one_list_per_service() {
+    for (label, system, property, config) in instances() {
+        let dead = analyze(&system, Some(&property)).dead;
+        let pc = prepared(&system, &property, &config);
+        let mut summaries: Arc<SummaryMap> = Arc::new(SummaryMap::new());
+        let mut checked = 0;
+        for task in bottom_up_order(&system) {
+            let t = system.schema.task(task);
+            summaries = commit(&system, &config, &pc, task, &summaries, &dead);
+            let memo = pc.contexts[&task].successors();
+            if t.input_vars.is_empty() {
+                assert!(
+                    (1..=t.internal_services.len()).contains(&memo.len()),
+                    "{label}: task {task:?}: {} lists for {} internal services",
+                    memo.len(),
+                    t.internal_services.len()
+                );
+                checked += 1;
+            }
+            memo.release();
+        }
+        assert!(checked > 0, "{label}: no task without inputs");
+    }
 }
 
 #[test]
